@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Fastpath wall-clock harness: fig11-style grid plus hot-path probes.
 
-Four measurement groups, all sharing one JSON report
+Three measurement groups, all sharing one JSON report
 (``BENCH_PR10.json``) and one exit status CI can gate on:
 
 * **grid** — one fig11-style sweep (workloads × paper prefetchers
@@ -11,20 +11,14 @@ Four measurement groups, all sharing one JSON report
   prewarmed with the grid's L1 filter artifacts.  The two passes must
   produce identical payload lists; the wall-clock ratio is gated by
   ``--min-speedup``.
-* **hot_path** — microbenchmarks of the three components this PR
-  vectorised, each measured in its ``legacy`` (PR 9-era) and current
-  form: filter *build* (scalar L1 loop vs. numpy per-set sweep),
-  filter *codec* (inline zlib+base64 JSON vs. binary ``.npy`` sidecar
-  opened through ``mmap``), and replay *prep* (four per-call
-  ``tolist()`` copies vs. one cached packed materialisation).  The
-  combined legacy/current ratio is gated by ``--min-hotpath-speedup``.
-* **modes** — the same serial probe grid under ``DOMINO_FASTPATH``
-  ``0``/``1``/``jit``/``legacy``: every mode must produce bit-identical
-  payloads (on a numba-less box ``jit`` exercises its soft fallback,
-  which counts as a pass).
-* **shm** — the pooled grid with and without shared-memory trace
-  handoff (``DOMINO_TRACE_SHM``): identical payloads, and zero leaked
-  ``/dev/shm`` segments from this process after both passes.
+* **hot_path** — the filter build: the vectorised kernel
+  (:func:`~repro.sim.fastpath.build_l1_filter`) against its scalar
+  reference (:func:`~repro.sim.fastpath.build_l1_filter_scalar`).  The
+  two filters must be equal, and the scalar/vectorised wall ratio is
+  gated by ``--min-hotpath-speedup``.
+* **shm** — the grid pooled (traces handed to workers through shared
+  memory) vs. serial: identical payloads, and zero leaked ``/dev/shm``
+  segments from this process afterwards.
 
 A final probe attaches an uncancelled
 :class:`~repro.cancel.CancelToken` to a serial, cache-free pass and
@@ -119,147 +113,51 @@ def _best_of(repeats: int, fn) -> float:
     return best
 
 
-def _measure_hot_path(options: ExperimentOptions, scratch: Path,
-                      repeats: int = 3, reuses: int = 8) -> dict:
-    """Legacy vs. current cost of the vectorised fastpath components.
-
-    ``reuses`` models how many cells consume one persisted filter in a
-    grid (fig11: 7 trace cells + 1 opportunity cell per workload): the
-    codec's decode and the replay prep are paid once per consumer, the
-    build and encode once per filter.
-    """
+def _measure_hot_path(options: ExperimentOptions, repeats: int = 3) -> dict:
+    """Vectorised filter build vs. its scalar reference, best of N."""
     config = SystemConfig()
     workload = options.workloads[0]
     trace = WorkloadSuite(seed=options.seed).trace(workload,
                                                   options.n_accesses)
-
-    # -- build: scalar L1 loop vs. numpy per-set sweep ------------------
-    os.environ["DOMINO_FASTPATH"] = "legacy"
-    build_legacy_s = _best_of(
-        repeats, lambda: fastpath.build_l1_filter(trace, config))
-    os.environ["DOMINO_FASTPATH"] = "1"
-    build_vec_s = _best_of(
+    scalar_s = _best_of(
+        repeats, lambda: fastpath.build_l1_filter_scalar(trace, config))
+    vectorised_s = _best_of(
         repeats, lambda: fastpath.build_l1_filter(trace, config))
     filt = fastpath.build_l1_filter(trace, config)
     reference = fastpath.build_l1_filter_scalar(trace, config)
     builds_equal = all(
         np.array_equal(getattr(filt, f), getattr(reference, f))
         for f in ("indices", "pcs", "blocks", "evicted"))
-
-    # -- codec: inline zlib+b64 JSON vs. .npy sidecar through mmap ------
-    def json_roundtrip() -> None:
-        document = json.dumps(fastpath.filter_to_payload(filt))
-        for _ in range(reuses):
-            fastpath.filter_from_payload(json.loads(document))
-
-    sidecar_path = scratch / "hotpath-filter.bin"
-
-    def binary_roundtrip() -> None:
-        payload, data = fastpath.filter_to_binary(filt)
-        sidecar_path.write_bytes(data)
-        document = json.dumps(payload)
-        for _ in range(reuses):
-            served = json.loads(document)
-            served["sidecar_path"] = str(sidecar_path)
-            fastpath.filter_from_payload(served)
-
-    codec_json_s = _best_of(repeats, json_roundtrip)
-    codec_binary_s = _best_of(repeats, binary_roundtrip)
-
-    # -- prep: four per-call tolist() copies vs. cached packed rows -----
-    def prep_legacy() -> None:
-        os.environ["DOMINO_FASTPATH"] = "legacy"
-        for _ in range(reuses):
-            filt.replay_rows()
-
-    def prep_packed() -> None:
-        os.environ["DOMINO_FASTPATH"] = "1"
-        object.__setattr__(filt, "_rows", None)  # cold cache per repeat
-        for _ in range(reuses):
-            filt.replay_rows()
-
-    prep_legacy_s = _best_of(repeats, prep_legacy)
-    prep_packed_s = _best_of(repeats, prep_packed)
-    os.environ["DOMINO_FASTPATH"] = "1"
-
-    legacy_s = build_legacy_s + codec_json_s + prep_legacy_s
-    current_s = build_vec_s + codec_binary_s + prep_packed_s
     return {
         "workload": workload,
         "n_accesses": options.n_accesses,
         "n_misses": filt.n_misses,
-        "filter_reuses": reuses,
-        "build_legacy_s": round(build_legacy_s, 4),
-        "build_vectorised_s": round(build_vec_s, 4),
-        "build_speedup": round(build_legacy_s / build_vec_s, 2)
-        if build_vec_s else float("inf"),
+        "build_scalar_s": round(scalar_s, 4),
+        "build_vectorised_s": round(vectorised_s, 4),
         "builds_equal": builds_equal,
-        "codec_json_s": round(codec_json_s, 4),
-        "codec_binary_s": round(codec_binary_s, 4),
-        "codec_speedup": round(codec_json_s / codec_binary_s, 2)
-        if codec_binary_s else float("inf"),
-        "prep_legacy_s": round(prep_legacy_s, 4),
-        "prep_packed_s": round(prep_packed_s, 4),
-        "prep_speedup": round(prep_legacy_s / prep_packed_s, 2)
-        if prep_packed_s else float("inf"),
-        "legacy_s": round(legacy_s, 4),
-        "current_s": round(current_s, 4),
-        "speedup": round(legacy_s / current_s, 4)
-        if current_s else float("inf"),
-    }
-
-
-def _measure_modes(options: ExperimentOptions) -> dict:
-    """Payload equivalence of every DOMINO_FASTPATH mode, serially."""
-    probe = ExperimentOptions(
-        n_accesses=options.n_accesses, seed=options.seed,
-        workloads=options.workloads[:1])
-    cells = build_cells(probe, degree=1)
-    policy = ExecutionPolicy(jobs=1, use_cache=False)
-    walls, payloads = {}, {}
-    for value in fastpath.MODES:
-        os.environ["DOMINO_FASTPATH"] = value
-        _reset_process_caches()
-        started = time.perf_counter()
-        payloads[value], manifest = run_cells(cells, probe, policy)
-        walls[value] = round(time.perf_counter() - started, 4)
-        if manifest.failed:
-            raise RuntimeError(f"mode {value!r} probe cell failed")
-    os.environ["DOMINO_FASTPATH"] = "1"
-    equivalent = all(payloads[value] == payloads["0"]
-                     for value in fastpath.MODES)
-    return {
-        "modes": list(fastpath.MODES),
-        "wall_s": walls,
-        "jit_backend_available": fastpath.jit_available(),
-        "equivalent": equivalent,
+        "speedup": round(scalar_s / vectorised_s, 4)
+        if vectorised_s else float("inf"),
     }
 
 
 def _measure_shm(cells, options: ExperimentOptions, jobs: int) -> dict:
-    """Pooled grid with vs. without shared-memory trace handoff."""
+    """Pooled grid (shared-memory trace handoff) vs. serial."""
     prefix = f"{shm.SEGMENT_PREFIX}{os.getpid()}x"
-
-    def leaked() -> list[str]:
-        return [n for n in shm.active_segments() if n.startswith(prefix)]
-
-    policy = ExecutionPolicy(jobs=jobs, use_cache=False)
     walls, payloads = {}, {}
     os.environ["DOMINO_FASTPATH"] = "1"
-    for label, value in (("off", "0"), ("on", "1")):
-        os.environ["DOMINO_TRACE_SHM"] = value
+    for label, width in (("serial", 1), ("pooled", jobs)):
         _reset_process_caches()
         started = time.perf_counter()
-        payloads[label], manifest = run_cells(cells, options, policy)
+        payloads[label], manifest = run_cells(
+            cells, options, ExecutionPolicy(jobs=width, use_cache=False))
         walls[label] = round(time.perf_counter() - started, 4)
         if manifest.failed:
-            raise RuntimeError(f"shm={label} pass cell failed")
-    os.environ.pop("DOMINO_TRACE_SHM", None)
-    remaining = leaked()
+            raise RuntimeError(f"{label} pass cell failed")
+    remaining = [n for n in shm.active_segments() if n.startswith(prefix)]
     return {
         "jobs": jobs,
         "wall_s": walls,
-        "equivalent": payloads["on"] == payloads["off"],
+        "equivalent": payloads["pooled"] == payloads["serial"],
         "leaked_segments": remaining,
         "leak_free": not remaining,
     }
@@ -330,8 +228,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--min-speedup", type=float, default=2.0,
                         help="fail below this off/on grid wall ratio")
     parser.add_argument("--min-hotpath-speedup", type=float, default=2.0,
-                        help="fail below this legacy/current hot-path "
-                             "composite ratio")
+                        help="fail below this scalar/vectorised filter "
+                             "build ratio")
     parser.add_argument("--max-cancel-overhead", type=float, default=2.0,
                         help="fail if an uncancelled token slows the "
                              "serial engine loop by more than this "
@@ -367,19 +265,14 @@ def main(argv: list[str] | None = None) -> int:
                                      args.jobs, fastpath_on=True)
     print(f"fastpath on:  {on_wall:.2f}s (warm filter store)")
 
-    hot_path = _measure_hot_path(options, scratch)
-    print(f"hot path: build {hot_path['build_speedup']:g}x, "
-          f"codec {hot_path['codec_speedup']:g}x, "
-          f"prep {hot_path['prep_speedup']:g}x "
-          f"-> composite {hot_path['speedup']:.2f}x")
-
-    modes = _measure_modes(options)
-    print(f"modes: {modes['wall_s']} equivalent={modes['equivalent']} "
-          f"(jit backend available: {modes['jit_backend_available']})")
+    hot_path = _measure_hot_path(options)
+    print(f"hot path: scalar build {hot_path['build_scalar_s']:.3f}s, "
+          f"vectorised {hot_path['build_vectorised_s']:.3f}s "
+          f"-> {hot_path['speedup']:.2f}x")
 
     shm_report = _measure_shm(cells, options, args.jobs)
-    print(f"shm handoff: off {shm_report['wall_s']['off']:.2f}s, "
-          f"on {shm_report['wall_s']['on']:.2f}s, "
+    print(f"shm handoff: serial {shm_report['wall_s']['serial']:.2f}s, "
+          f"pooled {shm_report['wall_s']['pooled']:.2f}s, "
           f"equivalent={shm_report['equivalent']}, "
           f"leak_free={shm_report['leak_free']}")
 
@@ -395,7 +288,7 @@ def main(argv: list[str] | None = None) -> int:
     hotpath_ok = (hot_path["builds_equal"]
                   and hot_path["speedup"] >= args.min_hotpath_speedup)
     ok = (equivalent and speedup >= args.min_speedup and hotpath_ok
-          and modes["equivalent"] and shm_report["equivalent"]
+          and shm_report["equivalent"]
           and shm_report["leak_free"] and cancel_ok)
 
     report = {
@@ -414,7 +307,6 @@ def main(argv: list[str] | None = None) -> int:
         "equivalent": equivalent,
         "hot_path": hot_path,
         "min_hotpath_speedup": args.min_hotpath_speedup,
-        "modes": modes,
         "shm": shm_report,
         "cancel_overhead": cancel,
         "max_cancel_overhead_pct": args.max_cancel_overhead,
@@ -433,12 +325,10 @@ def main(argv: list[str] | None = None) -> int:
         print("FAIL: vectorised filter differs from scalar reference",
               file=sys.stderr)
     elif hot_path["speedup"] < args.min_hotpath_speedup:
-        print(f"FAIL: hot-path speedup {hot_path['speedup']:.2f}x below "
+        print(f"FAIL: filter build speedup {hot_path['speedup']:.2f}x below "
               f"{args.min_hotpath_speedup:g}x", file=sys.stderr)
-    elif not modes["equivalent"]:
-        print("FAIL: DOMINO_FASTPATH modes disagree", file=sys.stderr)
     elif not shm_report["equivalent"]:
-        print("FAIL: shm trace handoff perturbed payloads", file=sys.stderr)
+        print("FAIL: pooled payloads differ from serial", file=sys.stderr)
     elif not shm_report["leak_free"]:
         print(f"FAIL: leaked shm segments {shm_report['leaked_segments']}",
               file=sys.stderr)

@@ -386,14 +386,10 @@ def _publish_trace_share(pending: list[tuple[int, str, Cell]], options: Any,
                          store: ResultStore | None) -> shm.TraceShare | None:
     """Generate needed traces once and export them to shared memory.
 
-    Returns ``None`` whenever sharing is off, pointless, or fails —
-    workers then regenerate per process exactly as before, so this can
-    only ever remove work, never change results.  ``legacy`` fastpath
-    mode also opts out: it exists to reproduce the PR 9-era cost model
-    for benchmarking.
+    Returns ``None`` whenever sharing is pointless or fails — workers
+    then regenerate per process, so this can only ever remove work,
+    never change results.
     """
-    if not shm.share_enabled() or fastpath.mode() == "legacy":
-        return None
     shm.reap_stale_segments()
     try:
         plan = _trace_share_plan(pending, options, store)

@@ -25,44 +25,35 @@ residency set is bit-identical to running the full cache
 (:meth:`repro.sim.engine.TraceSimulator.run_filtered` carries the
 replay; ``tests/sim/test_fastpath.py`` pins the equivalence).
 
-Three build kernels produce identical filters (cross-checked in tests):
+One build kernel produces the filter: :func:`build_l1_filter`, a
+vectorised per-set sweep.  Accesses are grouped by cache set with one
+stable argsort; for 2-way sets (both shipped configs) a closed-form LRU
+identity decides every hit and victim in pure numpy, and for other
+associativities a numpy mask proves most re-references are *certain
+hits* (a block re-accessed within ``ways`` set-local accesses cannot
+have been evicted in between), leaving only the uncertain positions to
+a small Python sweep.  :func:`build_l1_filter_scalar` is its reference:
+one scalar loop over the :class:`~repro.memory.cache.Cache` model that
+the differential tests compare the kernel against.
 
-``1`` (default)
-    A vectorised per-set sweep: accesses are grouped by cache set with
-    one stable argsort, a numpy mask proves most re-references are
-    *certain hits* (a block re-accessed within ``ways`` set-local
-    accesses cannot have been evicted in between), and only the
-    remaining uncertain positions run through a small Python sweep that
-    tracks residency and LRU recency via per-block occurrence pointers.
-``jit``
-    An optional numba-compiled per-access kernel.  When numba is not
-    importable (it is an optional dependency) the build soft-falls-back
-    to the vectorised sweep — ``DOMINO_FASTPATH=jit`` is always safe.
-``legacy``
-    The original scalar loop over the :class:`~repro.memory.cache.Cache`
-    model.  Kept as the reference implementation for cross-checks and
-    as the PR 9-era baseline for ``benchmarks/bench_fastpath.py``.
-
-Filters serialise two ways: the original JSON-inline codec (zlib +
-base64 over little-endian int64, still accepted on load) and the
-binary sidecar codec — a real ``.npy`` file of the four int64 columns
-written next to the JSON envelope by :class:`repro.runner.store` and
-opened by workers via ``np.load(..., mmap_mode="r")`` (zero-copy, page
-cache shared across processes).  The cache *key* of a filter is owned
-by :func:`repro.runner.cells.l1_filter_key` — the runner layer knows
-what identifies a generated trace; this module only knows how to
-build, encode, and replay filters.
+Filters serialise one way: a JSON envelope plus a binary ``.npy``
+sidecar of the four int64 columns, written next to the envelope by
+:class:`repro.runner.store` and opened by workers via
+``np.load(..., mmap_mode="r")`` (zero-copy, page cache shared across
+processes).  The cache *key* of a filter is owned by
+:func:`repro.runner.cells.l1_filter_key` — the runner layer knows what
+identifies a generated trace; this module only knows how to build,
+encode, and replay filters.
 """
 
 from __future__ import annotations
 
-import base64
 import io
 import os
 import time
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
@@ -75,55 +66,35 @@ from ..obs import scope as obs_scope
 from ..obs.trace import span as trace_span
 from .trace import MemoryTrace
 
-#: Bump when the filter semantics change (rides next to the runner's
-#: ``CODE_VERSION`` inside the artifact key material).  The binary
-#: sidecar codec did *not* bump this: the filter content is unchanged,
-#: old JSON-inline payloads still load, and keys stay stable.
-FASTPATH_VERSION = 1
+#: Bump when the filter semantics or codec change (rides next to the
+#: runner's ``CODE_VERSION`` inside the artifact key material).  Version
+#: 2 retired the JSON-inline codec: keys moved, so no v1 artifact is ever
+#: addressed again, and a v1 envelope that does reach
+#: :func:`filter_from_payload` is rejected.
+FASTPATH_VERSION = 2
 
-#: Environment toggle (``DOMINO_FASTPATH``): ``0`` forces every cell
-#: through the unfiltered engine loop, ``1`` (default) uses the
-#: vectorised build, ``jit`` prefers the numba kernel (falling back to
-#: ``1`` when numba is absent), and ``legacy`` keeps the scalar build
-#: plus uncached replay prep (benchmark baseline).  Results are
-#: bit-identical in every mode.
+#: Environment toggle (``DOMINO_FASTPATH``): ``0``/``false``/``off``/``no``
+#: forces every cell through the unfiltered engine loop; anything else
+#: (the default) replays the filter.  Results are bit-identical either
+#: way.
 ENV_TOGGLE = "DOMINO_FASTPATH"
-
-#: Recognised ``DOMINO_FASTPATH`` modes (anything else reads as ``1``).
-MODES = ("0", "1", "jit", "legacy")
 
 _OFF_VALUES = ("0", "false", "off", "no")
 
 _ARRAY_FIELDS = ("indices", "pcs", "blocks", "evicted")
 
-#: JSON-inline codec marker (PR 5-era payloads; still loadable).
-_CODEC = "zlib+b64:<i8"
-
-#: Binary sidecar codec marker: the envelope stays JSON, the four int64
+#: Codec marker: the envelope stays JSON, the four int64
 #: columns live in a ``.npy`` sidecar opened with ``mmap_mode="r"``.
-BINARY_CODEC = "npy:<i8"
+CODEC = "npy:<i8"
 
 #: Fastpath telemetry scope (off until obs.configure()).
 _OBS = obs_scope("sim.fastpath")
 
 
-def mode() -> str:
-    """The active ``DOMINO_FASTPATH`` mode: ``0``/``1``/``jit``/``legacy``.
-
-    Unset or unrecognised values read as ``1`` (vectorised, on); the
-    historical falsy spellings (``false``/``off``/``no``) read as ``0``.
-    """
-    raw = os.environ.get(ENV_TOGGLE, "1").strip().lower()
-    if raw in _OFF_VALUES:
-        return "0"
-    if raw in ("jit", "legacy"):
-        return raw
-    return "1"
-
-
 def enabled() -> bool:
     """Whether the filtered replay path is active (default: yes)."""
-    return mode() != "0"
+    raw = os.environ.get(ENV_TOGGLE, "1").strip().lower()
+    return raw not in _OFF_VALUES
 
 
 @dataclass(frozen=True)
@@ -137,8 +108,8 @@ class L1Filter:
     warm-up boundaries and to reconstruct the hit counters.
 
     All four arrays are **read-only**, whichever way the filter was
-    produced — built from a trace, decoded from a JSON payload, or
-    mapped from a binary sidecar — so a filter shared through the
+    produced — built from a trace or mapped from a binary sidecar — so
+    a filter shared through the
     in-process memo or the page cache can never be mutated under
     another cell's feet.
     """
@@ -188,13 +159,7 @@ class L1Filter:
         the filter, so every cell sharing a memoized/store-served filter
         walks plain Python ints with zero per-cell prep — replacing the
         four full ``tolist()`` copies the replay used to make per run.
-        In ``legacy`` mode the prep is deliberately rebuilt per call
-        (the PR 9-era cost model the benchmark measures against).
         """
-        if mode() == "legacy":
-            return [list(row) for row in zip(
-                self.indices.tolist(), self.pcs.tolist(),
-                self.blocks.tolist(), self.evicted.tolist())]
         rows = self._rows
         if rows is None:
             if self.n_misses:
@@ -458,134 +423,20 @@ def _build_arrays_vectorised(
             all_vic[merge])
 
 
-# -- optional numba kernel (DOMINO_FASTPATH=jit) ----------------------------
-
-#: Chunk size between cancellation checkpoints of the jit kernel.
-_JIT_CHUNK = 1 << 16
-
-_JIT_KERNEL: Callable[..., int] | None = None
-_JIT_STATE = "unloaded"          # unloaded | ready | unavailable
-
-
-def _load_jit_kernel() -> Callable[..., int] | None:
-    """Compile (once) and return the numba build kernel, or ``None``.
-
-    Soft dependency: an absent or broken numba leaves the state
-    ``unavailable`` and every ``jit``-mode build falls back to the
-    vectorised kernel, reported once per process through obs.
-    """
-    global _JIT_KERNEL, _JIT_STATE
-    if _JIT_STATE == "unloaded":
-        try:
-            from numba import njit  # type: ignore[import-not-found]
-
-            @njit(cache=True)
-            def _kernel(blocks, start, tags, stamps, out_idx, out_vic, m,
-                        n_sets, ways, use_mask):   # pragma: no cover - needs numba
-                for i in range(blocks.shape[0]):
-                    gi = start + i
-                    block = blocks[i]
-                    if use_mask:
-                        s = block & (n_sets - 1)
-                    else:
-                        s = block % n_sets
-                    base = s * ways
-                    hit = False
-                    for w in range(base, base + ways):
-                        if tags[w] == block:
-                            stamps[w] = gi + 1
-                            hit = True
-                            break
-                    if hit:
-                        continue
-                    slot = -1
-                    for w in range(base, base + ways):
-                        if tags[w] == -1:
-                            slot = w
-                            break
-                    if slot == -1:
-                        slot = base
-                        for w in range(base + 1, base + ways):
-                            if stamps[w] < stamps[slot]:
-                                slot = w
-                        out_vic[m] = tags[slot]
-                    else:
-                        out_vic[m] = -1
-                    out_idx[m] = gi
-                    m += 1
-                    tags[slot] = block
-                    stamps[slot] = gi + 1
-                return m
-
-            _JIT_KERNEL = _kernel
-            _JIT_STATE = "ready"
-        except Exception:  # numba missing or failed to compile
-            _JIT_KERNEL = None
-            _JIT_STATE = "unavailable"
-            if _OBS.enabled:
-                _OBS.counter(obs_names.MET_FASTPATH_JIT_FALLBACKS).inc()
-                _OBS.warning(obs_names.EVT_FASTPATH_JIT_FALLBACK,
-                             fallback="vectorised")
-    return _JIT_KERNEL
-
-
-def jit_available() -> bool:
-    """Whether the numba kernel can actually run in this process."""
-    return _load_jit_kernel() is not None
-
-
-def _build_arrays_jit(
-        trace: MemoryTrace, config: SystemConfig,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Numba kernel build; falls back to vectorised when unavailable."""
-    kernel = _load_jit_kernel()
-    if kernel is None:
-        return _build_arrays_vectorised(trace, config)
-    blocks = np.ascontiguousarray(trace.blocks, dtype=np.int64)
-    n = len(blocks)
-    n_sets = config.l1d.n_sets
-    ways = config.l1d.ways
-    tags = np.full(n_sets * ways, -1, dtype=np.int64)
-    stamps = np.zeros(n_sets * ways, dtype=np.int64)
-    out_idx = np.empty(n, dtype=np.int64)
-    out_vic = np.empty(n, dtype=np.int64)
-    use_mask = n_sets & (n_sets - 1) == 0
-    cancel, check_every = _cancel_checks()
-    m = 0
-    for start in range(0, n, _JIT_CHUNK):
-        if cancel is not None:
-            cancel.raise_if_cancelled()
-        m = kernel(blocks[start:start + _JIT_CHUNK], start, tags, stamps,
-                   out_idx, out_vic, m, n_sets, ways, use_mask)
-    indices = out_idx[:m].copy()
-    return (indices,
-            np.ascontiguousarray(trace.pcs, dtype=np.int64)[indices],
-            blocks[indices],
-            out_vic[:m].copy())
-
-
-_BUILDERS = {
-    "0": _build_arrays_vectorised,    # filter requested despite mode 0
-    "1": _build_arrays_vectorised,
-    "jit": _build_arrays_jit,
-    "legacy": _build_arrays_scalar,
-}
-
-
 def build_l1_filter(trace: MemoryTrace, config: SystemConfig) -> L1Filter:
     """One pass over ``trace`` through the L1-D alone.
 
-    The kernel follows :func:`mode`; every kernel reproduces exactly
-    the hit/miss split and eviction sequence of the
-    :class:`~repro.memory.cache.Cache` model (via ``access_traced``)
-    that the unfiltered engine drives, so the recorded events are
-    precisely what every prefetcher cell would observe.
+    The vectorised kernel reproduces exactly the hit/miss split and
+    eviction sequence of the :class:`~repro.memory.cache.Cache` model
+    (via ``access_traced``) that the unfiltered engine drives, so the
+    recorded events are precisely what every prefetcher cell would
+    observe.
     """
     with trace_span(obs_names.SPAN_FASTPATH_BUILD, trace=trace.name,
                     accesses=len(trace)):
         wall0 = time.perf_counter()
-        build = _BUILDERS[mode()]
-        indices, pcs, blocks, evicted = build(trace, config)
+        indices, pcs, blocks, evicted = _build_arrays_vectorised(
+            trace, config)
         filt = L1Filter(trace_name=trace.name, n_accesses=len(trace),
                         indices=indices, pcs=pcs, blocks=blocks,
                         evicted=evicted)
@@ -600,10 +451,11 @@ def build_l1_filter(trace: MemoryTrace, config: SystemConfig) -> L1Filter:
 
 def build_l1_filter_scalar(trace: MemoryTrace,
                            config: SystemConfig) -> L1Filter:
-    """The reference scalar build, independent of :func:`mode`.
+    """The reference scalar build: one pass through the ``Cache`` model.
 
-    Used by tests to cross-check the vectorised/jit kernels and by the
-    benchmark as the PR 9-era baseline.
+    Used by the differential tests to cross-check
+    :func:`build_l1_filter` and by ``benchmarks/bench_fastpath.py`` as
+    the baseline of the build speedup gate.
     """
     indices, pcs, blocks, evicted = _build_arrays_scalar(trace, config)
     return L1Filter(trace_name=trace.name, n_accesses=len(trace),
@@ -611,44 +463,6 @@ def build_l1_filter_scalar(trace: MemoryTrace,
 
 
 # -- payload codecs ---------------------------------------------------------
-
-
-def _encode(arr: np.ndarray) -> str:
-    data = np.ascontiguousarray(arr, dtype="<i8").tobytes()
-    return base64.b64encode(zlib.compress(data)).decode("ascii")
-
-
-def _decode(text: str, expected_len: int) -> np.ndarray:
-    try:
-        raw = zlib.decompress(base64.b64decode(text.encode("ascii")))
-        arr = np.frombuffer(raw, dtype="<i8")
-    except (ValueError, zlib.error) as exc:
-        raise SimulationError(f"corrupt L1 filter payload: {exc}") from exc
-    if len(arr) != expected_len:
-        raise SimulationError(
-            f"corrupt L1 filter payload: expected {expected_len} values, "
-            f"decoded {len(arr)}")
-    return arr.astype(np.int64, copy=False)
-
-
-def filter_to_payload(filt: L1Filter) -> dict[str, Any]:
-    """Serialise a filter into a self-contained JSON-safe payload.
-
-    The PR 5-era inline codec: still written by callers that need a
-    single JSON document and still accepted by
-    :func:`filter_from_payload` for backward compatibility with
-    already-stored artifacts.
-    """
-    payload: dict[str, Any] = {
-        "version": FASTPATH_VERSION,
-        "codec": _CODEC,
-        "trace_name": filt.trace_name,
-        "n_accesses": filt.n_accesses,
-        "n_misses": filt.n_misses,
-    }
-    for fname in _ARRAY_FIELDS:
-        payload[fname] = _encode(getattr(filt, fname))
-    return payload
 
 
 def filter_to_binary(filt: L1Filter) -> tuple[dict[str, Any], bytes]:
@@ -669,7 +483,7 @@ def filter_to_binary(filt: L1Filter) -> tuple[dict[str, Any], bytes]:
     data = buf.getvalue()
     payload: dict[str, Any] = {
         "version": FASTPATH_VERSION,
-        "codec": BINARY_CODEC,
+        "codec": CODEC,
         "trace_name": filt.trace_name,
         "n_accesses": filt.n_accesses,
         "n_misses": filt.n_misses,
@@ -713,27 +527,22 @@ def _filter_from_sidecar(payload: dict[str, Any], n_accesses: int,
 
 
 def filter_from_payload(payload: dict[str, Any]) -> L1Filter:
-    """Rebuild a filter from an artifact payload (either codec).
+    """Rebuild a filter from a binary-codec artifact payload.
 
-    Binary-codec payloads must carry a ``sidecar_path`` (attached by
+    The payload must carry a ``sidecar_path`` (attached by
     :meth:`repro.runner.store.ResultStore.get` when it resolves the
     envelope's ``payload_path``).  Raises :class:`SimulationError` on
     any structural mismatch so the caller can treat the artifact as a
     miss, quarantine it, and rebuild from the trace.
     """
-    codec = payload.get("codec")
     if (payload.get("version") != FASTPATH_VERSION
-            or codec not in (_CODEC, BINARY_CODEC)):
+            or payload.get("codec") != CODEC):
         raise SimulationError(
             "L1 filter payload has an incompatible version or codec")
     try:
         n_accesses = int(payload["n_accesses"])
         n_misses = int(payload["n_misses"])
         name = str(payload["trace_name"])
-        if codec == BINARY_CODEC:
-            return _filter_from_sidecar(payload, n_accesses, n_misses, name)
-        arrays = {fname: _decode(payload[fname], n_misses)
-                  for fname in _ARRAY_FIELDS}
+        return _filter_from_sidecar(payload, n_accesses, n_misses, name)
     except (KeyError, TypeError, ValueError) as exc:
         raise SimulationError(f"malformed L1 filter payload: {exc}") from exc
-    return L1Filter(trace_name=name, n_accesses=n_accesses, **arrays)

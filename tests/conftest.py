@@ -1,5 +1,8 @@
 """Shared fixtures: small configs and tiny deterministic traces."""
 
+import base64
+import zlib
+
 import numpy as np
 import pytest
 
@@ -75,3 +78,23 @@ def make_trace(blocks, pcs=None, deps=None, works=None, name="manual"):
 @pytest.fixture
 def trace_factory():
     return make_trace
+
+
+def v1_inline_payload(filt):
+    """Hand-write a filter envelope in the retired v1 inline codec.
+
+    Version 1 stored the four int64 columns zlib-compressed and base64
+    encoded inside the JSON payload; the loader must refuse it now.
+    """
+    payload = {"version": 1, "codec": "zlib+b64:<i8",
+               "trace_name": filt.trace_name, "n_accesses": filt.n_accesses,
+               "n_misses": filt.n_misses}
+    for fname in ("indices", "pcs", "blocks", "evicted"):
+        raw = np.ascontiguousarray(getattr(filt, fname), dtype="<i8").tobytes()
+        payload[fname] = base64.b64encode(zlib.compress(raw)).decode("ascii")
+    return payload
+
+
+@pytest.fixture
+def v1_payload_factory():
+    return v1_inline_payload

@@ -7,10 +7,13 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.config import SystemConfig
 from repro.obs import names as obs_names
 from repro.runner import Cell, ExecutionPolicy, ResultStore, run_cells
 from repro.runner import execute as execute_mod
+from repro.runner.cells import l1_filter_key
 from repro.sim import fastpath
+from repro.workloads.suite import WorkloadSuite
 
 
 @pytest.fixture(autouse=True)
@@ -137,8 +140,8 @@ class TestCorruptFilterRecovery:
 
 
 class TestWindowedFilters:
-    """Opportunity-style sliced-trace filters stay consistent across
-    codecs and agree with the full-trace filter on prefix windows."""
+    """Opportunity-style sliced-trace filters survive the store and
+    agree with the full-trace filter on prefix windows."""
 
     def test_prefix_window_matches_full_filter_restriction(self, config,
                                                            tiny_trace):
@@ -153,21 +156,56 @@ class TestWindowedFilters:
             assert np.array_equal(getattr(prefix, fname),
                                   getattr(full, fname)[mask]), fname
 
-    def test_windowed_filter_roundtrips_both_codecs(self, config, tiny_trace,
-                                                    tmp_path):
+    def test_windowed_filter_roundtrips_through_store(self, config,
+                                                      tiny_trace, tmp_path):
         window = tiny_trace.slice(1500, len(tiny_trace))
         filt = fastpath.build_l1_filter(window, config)
         store = ResultStore(tmp_path / "cache")
-        key_bin, key_json = "aa" + "0" * 62, "bb" + "1" * 62
+        key = "aa" + "0" * 62
         payload, sidecar = fastpath.filter_to_binary(filt)
-        store.put(key_bin, payload, kind="l1_filter", sidecar=sidecar)
-        store.put(key_json, fastpath.filter_to_payload(filt),
-                  kind="l1_filter")  # JSON-era inline artifact
-        for key in (key_bin, key_json):
-            served = store.get(key, kind="l1_filter")
-            assert served is not None
-            back = fastpath.filter_from_payload(served)
-            assert back.n_accesses == filt.n_accesses
-            for fname in ("indices", "pcs", "blocks", "evicted"):
-                assert np.array_equal(getattr(back, fname),
-                                      getattr(filt, fname)), (key, fname)
+        store.put(key, payload, kind="l1_filter", sidecar=sidecar)
+        served = store.get(key, kind="l1_filter")
+        assert served is not None
+        back = fastpath.filter_from_payload(served)
+        assert back.n_accesses == filt.n_accesses
+        for fname in ("indices", "pcs", "blocks", "evicted"):
+            assert np.array_equal(getattr(back, fname),
+                                  getattr(filt, fname)), fname
+
+
+class TestRetiredCodec:
+    """Filters stored under the v1 inline codec are never read again."""
+
+    def test_v1_only_store_rebuilds_bit_identical(self, tiny_options,
+                                                  tmp_path, monkeypatch,
+                                                  v1_payload_factory):
+        monkeypatch.setenv("DOMINO_FASTPATH", "0")
+        reference, _ = run_cells(_grid(), tiny_options,
+                                 ExecutionPolicy(use_cache=False))
+        # Seed a store with exactly the filters this grid needs, keyed
+        # and encoded as version 1 wrote them.
+        cache = tmp_path / "v1-store"
+        store = ResultStore(cache)
+        config = SystemConfig()
+        n = tiny_options.n_accesses
+        trace = WorkloadSuite(seed=tiny_options.seed).trace("oltp", n)
+        with monkeypatch.context() as v1:
+            v1.setattr(fastpath, "FASTPATH_VERSION", 1)
+            for window in (None, (int(n * tiny_options.warmup_frac), n)):
+                sliced = trace.slice(*window) if window else trace
+                key = l1_filter_key("oltp", tiny_options, config,
+                                    window=window)
+                store.put(key, v1_payload_factory(
+                    fastpath.build_l1_filter(sliced, config)),
+                    kind="l1_filter")
+        v1_envelopes = sorted(cache.glob("v*/*/*.json"))
+        assert len(v1_envelopes) == 2
+        monkeypatch.setenv("DOMINO_FASTPATH", "1")
+        served, _ = run_cells(_grid(), tiny_options,
+                              ExecutionPolicy(use_cache=True, cache_dir=cache))
+        assert served == reference
+        # The v1 artifacts were never addressed: nothing quarantined,
+        # and the rebuilt filters landed under fresh v2 keys.
+        assert store.stats().n_quarantined == 0
+        assert all(p.exists() for p in v1_envelopes)
+        assert len(list(cache.glob("v*/*/*.bin"))) == 2

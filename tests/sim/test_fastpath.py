@@ -1,17 +1,52 @@
 """L1 fastpath tests: filter construction, codec, and the
 bit-identical-replay guarantee against the unfiltered engine."""
 
+import io
+import json
+
 import numpy as np
 import pytest
 
 from repro.errors import SimulationError
 from repro.prefetchers.base import NullPrefetcher
 from repro.prefetchers.registry import make_prefetcher, prefetcher_names
+from repro.runner.store import ResultStore
 from repro.sim.engine import TraceSimulator, collect_miss_stream
-from repro.sim.fastpath import (BINARY_CODEC, L1Filter, build_l1_filter,
-                                build_l1_filter_scalar, enabled,
-                                filter_from_payload, filter_to_binary,
-                                filter_to_payload, jit_available, mode)
+from repro.sim.fastpath import (CODEC, FASTPATH_VERSION, L1Filter,
+                                build_l1_filter, build_l1_filter_scalar,
+                                enabled, filter_from_payload,
+                                filter_to_binary)
+
+_FIELDS = ("indices", "pcs", "blocks", "evicted")
+
+
+def _attach(payload, data, tmp_path):
+    """Write ``data`` as the payload's sidecar and attach its path."""
+    sidecar = tmp_path / "filter.bin"
+    sidecar.write_bytes(data)
+    payload["sidecar_path"] = str(sidecar)
+
+
+def _store_roundtrip(filt, tmp_path):
+    """Persist ``filt`` through a real store and serve it back.
+
+    The envelope goes through JSON on disk and the store attaches the
+    sidecar path on ``get`` — the path every runner cell takes.
+    """
+    store = ResultStore(tmp_path / "store")
+    key = "ab" + "0" * 62
+    payload, data = filter_to_binary(filt)
+    store.put(key, payload, kind="l1_filter", sidecar=data)
+    served = store.get(key, kind="l1_filter")
+    assert served is not None
+    return store, key, served
+
+
+def _assert_same_filter(back, filt):
+    assert back.trace_name == filt.trace_name
+    assert back.n_accesses == filt.n_accesses
+    for fname in _FIELDS:
+        assert np.array_equal(getattr(back, fname), getattr(filt, fname)), fname
 
 
 class TestBuild:
@@ -102,9 +137,11 @@ class TestReplayEquivalence:
                 filt, warmup=1500)
             assert plain == replay, name
 
-    def test_roundtripped_filter_equivalent(self, config, tiny_trace):
-        filt = filter_from_payload(
-            filter_to_payload(build_l1_filter(tiny_trace, config)))
+    def test_roundtripped_filter_equivalent(self, config, tiny_trace,
+                                            tmp_path):
+        _, _, served = _store_roundtrip(build_l1_filter(tiny_trace, config),
+                                        tmp_path)
+        filt = filter_from_payload(served)
         plain = TraceSimulator(config, make_prefetcher("stms", config)).run(
             tiny_trace)
         replay = TraceSimulator(
@@ -136,26 +173,30 @@ def _empty_trace(trace_factory):
 
 
 class TestModes:
-    def test_default_mode_is_vectorised(self, monkeypatch):
-        monkeypatch.delenv("DOMINO_FASTPATH", raising=False)
-        assert mode() == "1"
+    """The toggle's spellings, and the one build kernel against the
+    scalar reference."""
 
     @pytest.mark.parametrize("value,expected", [
         ("0", "0"), ("FALSE", "0"), (" off ", "0"), ("no", "0"),
         ("1", "1"), ("jit", "jit"), ("JIT", "jit"),
-        ("legacy", "legacy"), ("turbo", "1"),  # unrecognised -> default
+        ("legacy", "legacy"), ("turbo", "1"),
     ])
     def test_mode_parsing(self, monkeypatch, value, expected):
+        # Only the off spellings ("0") turn the fastpath off; the
+        # retired kernel names ("jit", "legacy") and unknown values
+        # keep it on.
         monkeypatch.setenv("DOMINO_FASTPATH", value)
-        assert mode() == expected
+        assert enabled() == (expected != "0")
 
-    @pytest.mark.parametrize("build_mode", ["1", "jit", "legacy"])
+    @pytest.mark.parametrize("build_mode", ["1", "0"])
     def test_all_builders_match_scalar_reference(self, config, tiny_trace,
                                                  monkeypatch, build_mode):
+        # The toggle picks filtered vs unfiltered replay, never the
+        # kernel: a filter requested with the fastpath off is the same.
         reference = build_l1_filter_scalar(tiny_trace, config)
         monkeypatch.setenv("DOMINO_FASTPATH", build_mode)
         built = build_l1_filter(tiny_trace, config)
-        for fname in ("indices", "pcs", "blocks", "evicted"):
+        for fname in _FIELDS:
             assert np.array_equal(getattr(built, fname),
                                   getattr(reference, fname)), fname
 
@@ -166,7 +207,7 @@ class TestModes:
             window = tiny_trace.slice(start, stop)
             fast = build_l1_filter(window, config)
             slow = build_l1_filter_scalar(window, config)
-            for fname in ("indices", "pcs", "blocks", "evicted"):
+            for fname in _FIELDS:
                 assert np.array_equal(getattr(fast, fname),
                                       getattr(slow, fname)), (start, stop)
 
@@ -179,30 +220,21 @@ class TestModes:
             (rng.integers(0, 6, size=5000) * n_sets).tolist())
         fast = build_l1_filter(trace, config)
         slow = build_l1_filter_scalar(trace, config)
-        for fname in ("indices", "pcs", "blocks", "evicted"):
+        for fname in _FIELDS:
             assert np.array_equal(getattr(fast, fname), getattr(slow, fname))
-
-    def test_jit_soft_fallback_without_numba(self, config, tiny_trace,
-                                             monkeypatch):
-        # numba is absent in CI: jit mode must fall back, never fail.
-        monkeypatch.setenv("DOMINO_FASTPATH", "jit")
-        built = build_l1_filter(tiny_trace, config)
-        reference = build_l1_filter_scalar(tiny_trace, config)
-        assert np.array_equal(built.indices, reference.indices)
-        assert isinstance(jit_available(), bool)
 
 
 class TestWritability:
     """Filter arrays are immutable on every construction path.
 
     Mutating a cached filter would silently corrupt every later replay
-    sharing it; built, JSON-decoded, and sidecar-mmapped filters must
+    sharing it; built, sidecar-mmapped, and store-served filters must
     all refuse writes identically.
     """
 
     @staticmethod
     def _assert_frozen(filt):
-        for fname in ("indices", "pcs", "blocks", "evicted"):
+        for fname in _FIELDS:
             arr = getattr(filt, fname)
             assert not arr.flags.writeable, fname
             with pytest.raises(ValueError):
@@ -211,15 +243,16 @@ class TestWritability:
     def test_built_filter_frozen(self, config, tiny_trace):
         self._assert_frozen(build_l1_filter(tiny_trace, config))
 
-    def test_json_roundtripped_filter_frozen(self, config, tiny_trace):
-        payload = filter_to_payload(build_l1_filter(tiny_trace, config))
-        self._assert_frozen(filter_from_payload(payload))
+    def test_json_roundtripped_filter_frozen(self, config, tiny_trace,
+                                             tmp_path):
+        # Envelope JSON-roundtripped through the store's file on disk.
+        _, _, served = _store_roundtrip(build_l1_filter(tiny_trace, config),
+                                        tmp_path)
+        self._assert_frozen(filter_from_payload(served))
 
     def test_binary_loaded_filter_frozen(self, config, tiny_trace, tmp_path):
         payload, data = filter_to_binary(build_l1_filter(tiny_trace, config))
-        sidecar = tmp_path / "filter.bin"
-        sidecar.write_bytes(data)
-        payload["sidecar_path"] = str(sidecar)
+        _attach(payload, data, tmp_path)
         self._assert_frozen(filter_from_payload(payload))
 
 
@@ -271,23 +304,18 @@ class TestDegenerate:
 
 
 class TestBinaryCodec:
-    """The .npy sidecar codec: roundtrip, validation, and v1 compat."""
+    """The .npy sidecar codec: roundtrip, validation, v1 rejection."""
 
     def _roundtrip(self, filt, tmp_path):
         payload, data = filter_to_binary(filt)
-        sidecar = tmp_path / "filter.bin"
-        sidecar.write_bytes(data)
-        payload["sidecar_path"] = str(sidecar)
+        _attach(payload, data, tmp_path)
         return payload, filter_from_payload(payload)
 
     def test_roundtrip_exact(self, config, tiny_trace, tmp_path):
         filt = build_l1_filter(tiny_trace, config)
         payload, back = self._roundtrip(filt, tmp_path)
-        assert payload["codec"] == BINARY_CODEC
-        assert back.trace_name == filt.trace_name
-        assert back.n_accesses == filt.n_accesses
-        for fname in ("indices", "pcs", "blocks", "evicted"):
-            assert np.array_equal(getattr(back, fname), getattr(filt, fname))
+        assert payload["codec"] == CODEC
+        _assert_same_filter(back, filt)
 
     def test_replay_through_sidecar_bit_identical(self, config, tiny_trace,
                                                   tmp_path):
@@ -306,8 +334,6 @@ class TestBinaryCodec:
         assert back.n_misses == 0
 
     def test_envelope_is_json_safe(self, config, tiny_trace):
-        import json
-
         payload, _ = filter_to_binary(build_l1_filter(tiny_trace, config))
         assert json.loads(json.dumps(payload)) == payload
 
@@ -318,73 +344,84 @@ class TestBinaryCodec:
 
     def test_truncated_sidecar_rejected(self, config, tiny_trace, tmp_path):
         payload, data = filter_to_binary(build_l1_filter(tiny_trace, config))
-        sidecar = tmp_path / "filter.bin"
-        sidecar.write_bytes(data[:-16])
-        payload["sidecar_path"] = str(sidecar)
+        _attach(payload, data[:-16], tmp_path)
         with pytest.raises(SimulationError, match="size mismatch"):
             filter_from_payload(payload)
 
     def test_tampered_n_misses_rejected(self, config, tiny_trace, tmp_path):
         payload, data = filter_to_binary(build_l1_filter(tiny_trace, config))
-        sidecar = tmp_path / "filter.bin"
-        sidecar.write_bytes(data)
-        payload["sidecar_path"] = str(sidecar)
+        _attach(payload, data, tmp_path)
         payload["n_misses"] = payload["n_misses"] + 1
         with pytest.raises(SimulationError, match="shape mismatch"):
             filter_from_payload(payload)
 
     def test_garbage_sidecar_rejected(self, config, tiny_trace, tmp_path):
         payload, data = filter_to_binary(build_l1_filter(tiny_trace, config))
-        sidecar = tmp_path / "filter.bin"
-        sidecar.write_bytes(b"\x00" * len(data))
-        payload["sidecar_path"] = str(sidecar)
+        _attach(payload, b"\x00" * len(data), tmp_path)
         with pytest.raises(SimulationError):
             filter_from_payload(payload)
 
-    def test_v1_inline_payloads_still_load(self, config, tiny_trace):
-        # Artifacts written before the sidecar codec keep working.
-        filt = build_l1_filter(tiny_trace, config)
-        payload = filter_to_payload(filt)
-        assert payload["codec"] == "zlib+b64:<i8"
-        back = filter_from_payload(payload)
-        assert np.array_equal(back.indices, filt.indices)
+    def test_v1_inline_payloads_rejected(self, config, tiny_trace,
+                                         v1_payload_factory):
+        # The retired zlib+base64 inline codec is refused outright,
+        # never half-decoded.
+        assert FASTPATH_VERSION != 1
+        payload = v1_payload_factory(build_l1_filter(tiny_trace, config))
+        with pytest.raises(SimulationError, match="incompatible"):
+            filter_from_payload(payload)
 
 
 class TestPayloadCodec:
-    def test_roundtrip_exact(self, config, tiny_trace):
+    """Envelope and sidecar validation on the store-served path."""
+
+    def test_roundtrip_exact(self, config, tiny_trace, tmp_path):
         filt = build_l1_filter(tiny_trace, config)
-        back = filter_from_payload(filter_to_payload(filt))
-        assert back.trace_name == filt.trace_name
-        assert back.n_accesses == filt.n_accesses
-        for fname in ("indices", "pcs", "blocks", "evicted"):
-            assert np.array_equal(getattr(back, fname), getattr(filt, fname))
+        _, _, served = _store_roundtrip(filt, tmp_path)
+        _assert_same_filter(filter_from_payload(served), filt)
 
-    def test_payload_is_json_safe(self, config, tiny_trace):
-        import json
+    def test_payload_is_json_safe(self, config, tiny_trace, tmp_path):
+        # The envelope on disk is plain JSON with no inline arrays:
+        # the columns live in the sidecar only.
+        store, key, _ = _store_roundtrip(build_l1_filter(tiny_trace, config),
+                                         tmp_path)
+        on_disk = json.loads(store.path_for(key).read_text())
+        envelope = on_disk["payload"]
+        assert not set(_FIELDS) & set(envelope)
+        assert all(isinstance(v, (int, str)) for v in envelope.values())
+        assert on_disk["payload_path"] == store.sidecar_path_for(key).name
 
-        payload = filter_to_payload(build_l1_filter(tiny_trace, config))
-        assert json.loads(json.dumps(payload)) == payload
+    def test_wrong_version_rejected(self, config, tiny_trace, tmp_path):
+        payload, data = filter_to_binary(build_l1_filter(tiny_trace, config))
+        _attach(payload, data, tmp_path)
+        for version in (-1, 1, FASTPATH_VERSION + 1):
+            payload["version"] = version
+            with pytest.raises(SimulationError, match="incompatible"):
+                filter_from_payload(payload)
 
-    def test_wrong_version_rejected(self, config, tiny_trace):
-        payload = filter_to_payload(build_l1_filter(tiny_trace, config))
-        payload["version"] = -1
-        with pytest.raises(SimulationError):
+    def test_corrupt_array_rejected(self, config, tiny_trace, tmp_path):
+        # A well-formed .npy of the right size but the wrong dtype.
+        payload, data = filter_to_binary(build_l1_filter(tiny_trace, config))
+        buf = io.BytesIO()
+        np.save(buf, np.zeros((4, payload["n_misses"]), dtype="<f8"))
+        assert len(buf.getvalue()) == len(data)
+        _attach(payload, buf.getvalue(), tmp_path)
+        with pytest.raises(SimulationError, match="shape mismatch"):
             filter_from_payload(payload)
 
-    def test_corrupt_array_rejected(self, config, tiny_trace):
-        payload = filter_to_payload(build_l1_filter(tiny_trace, config))
-        payload["blocks"] = "not base64 zlib data"
-        with pytest.raises(SimulationError):
+    def test_truncated_array_rejected(self, config, tiny_trace, tmp_path):
+        # Truncated sidecar whose recorded size was updated to match:
+        # the size check passes, the array itself is short.
+        payload, data = filter_to_binary(build_l1_filter(tiny_trace, config))
+        _attach(payload, data[:-16], tmp_path)
+        payload["sidecar_bytes"] = len(data) - 16
+        with pytest.raises(SimulationError, match="corrupt"):
             filter_from_payload(payload)
 
-    def test_truncated_array_rejected(self, config, tiny_trace):
-        payload = filter_to_payload(build_l1_filter(tiny_trace, config))
-        payload["n_misses"] = payload["n_misses"] + 1
-        with pytest.raises(SimulationError):
-            filter_from_payload(payload)
-
-    def test_missing_field_rejected(self, config, tiny_trace):
-        payload = filter_to_payload(build_l1_filter(tiny_trace, config))
-        del payload["indices"]
-        with pytest.raises(SimulationError):
-            filter_from_payload(payload)
+    def test_missing_field_rejected(self, config, tiny_trace, tmp_path):
+        payload, data = filter_to_binary(build_l1_filter(tiny_trace, config))
+        _attach(payload, data, tmp_path)
+        for field in ("codec", "n_accesses", "n_misses", "trace_name",
+                      "sidecar_bytes"):
+            partial = {k: v for k, v in payload.items() if k != field}
+            with pytest.raises(SimulationError):
+                filter_from_payload(partial)

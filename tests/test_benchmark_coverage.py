@@ -2,16 +2,20 @@
 
 from pathlib import Path
 
+from benchmarks import test_experiments as experiment_bench
 from repro.experiments import experiment_ids
 
 BENCH_DIR = Path(__file__).resolve().parents[1] / "benchmarks"
 
 
-def test_one_bench_per_experiment():
-    for experiment_id in experiment_ids():
-        bench = BENCH_DIR / f"test_{experiment_id}.py"
-        assert bench.exists(), f"missing benchmark for {experiment_id}"
-        assert f'run_quick("{experiment_id}")' in bench.read_text()
+def test_bench_parametrised_over_every_experiment():
+    marks = [mark for mark in experiment_bench.test_experiment.pytestmark
+             if mark.name == "parametrize"]
+    assert len(marks) == 1
+    argname, values = marks[0].args
+    assert argname == "experiment_id"
+    assert list(values) == list(experiment_ids())
+    assert set(experiment_bench.SHAPE_CHECKS) <= set(experiment_ids())
 
 
 def test_ablation_benches_exist():

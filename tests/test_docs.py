@@ -1,5 +1,6 @@
 """Documentation consistency: the docs must track the code."""
 
+import re
 from pathlib import Path
 
 import pytest
@@ -67,3 +68,17 @@ def test_design_lists_every_workload(design_md, readme_md):
         variants = (workload, workload.replace("_", " "),
                     workload.replace("_", "-"))
         assert any(v in corpus for v in variants), f"docs missing {workload}"
+
+
+def test_documented_env_knobs_exist_in_code():
+    # A switch deleted from the code must not linger in the docs.
+    docs = [ROOT / "README.md", ROOT / "DESIGN.md",
+            *sorted((ROOT / "docs").glob("*.md"))]
+    named = set()
+    for doc in docs:
+        named |= set(re.findall(r"DOMINO_[A-Z_]+", doc.read_text()))
+    assert named, "expected the docs to name at least one DOMINO_ knob"
+    source = "\n".join(p.read_text() for p in (ROOT / "src").rglob("*.py"))
+    read = set(re.findall(r"[\"'](DOMINO_[A-Z_]+)[\"']", source))
+    stale = sorted(named - read)
+    assert not stale, f"docs name knobs the code never reads: {stale}"
