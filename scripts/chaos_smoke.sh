@@ -76,9 +76,12 @@ echo "== gate 4: worker kill -9 leaks no shared-memory segments =="
 # exit:P makes workers die via os._exit mid-cell (skipping all worker
 # cleanup); --timeout-s lets the watchdog detect the vanished worker
 # and rebuild the pool.  The parent's scheduler owns the shm trace
-# segments and must unlink them all on the way out regardless.
+# segments and must unlink them all on the way out regardless.  The
+# rolls hash the cell keys, so the seed is re-picked when the keys
+# change: seed 4 kills workers 7 times across the 6 cells, and every
+# cell still succeeds within its retry budget.
 $RUN --no-cache --jobs 2 \
-  --inject-faults exit:0.4,seed:3 --retries 3 --timeout-s 5 \
+  --inject-faults exit:0.4,seed:4 --retries 3 --timeout-s 5 \
   | tee "$WORK/chaos-exit.txt"
 python - <<'EOF'
 from repro.runner import shm

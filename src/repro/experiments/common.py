@@ -1,4 +1,4 @@
-"""Shared experiment plumbing: options, results, and cached helpers.
+"""Shared experiment plumbing: options, results, and table helpers.
 
 All experiments follow the same measurement protocol:
 
@@ -10,6 +10,11 @@ All experiments follow the same measurement protocol:
   cycle-accounting experiments use :func:`repro.config.timing_config`
   (scaled LLC; see DESIGN.md §2).
 
+Every driver expresses its sweep as a list of :class:`repro.runner.Cell`
+objects, runs it with one :func:`repro.runner.run_cells` call (artifact
+cache, ``--jobs``, L1-filter fastpath, retries and spans come with it)
+and assembles rows from the returned payloads.
+
 ``ExperimentOptions.quick()`` shrinks everything for benchmarks/tests.
 """
 
@@ -20,12 +25,8 @@ from dataclasses import dataclass, field, replace
 from collections.abc import Sequence
 from typing import Any
 
-from ..config import SystemConfig, timing_config
-from ..prefetchers.registry import make_prefetcher
-from ..sim.engine import SimulationResult, collect_miss_stream, simulate_trace
 from ..stats.tables import format_table
 from ..workloads.server import workload_names
-from ..workloads.suite import WorkloadSuite
 
 
 @dataclass(frozen=True)
@@ -64,8 +65,9 @@ class ExperimentResult:
     notes: str = ""
     #: Free-form machine-readable extras (per-workload series etc).
     series: dict = field(default_factory=dict)
-    #: :class:`repro.runner.manifest.RunManifest` when the experiment
-    #: went through the cell runner (cache/parallelism accounting).
+    #: :class:`repro.runner.manifest.RunManifest` of the experiment's
+    #: cell sweep (cache/parallelism accounting); ``None`` for table2,
+    #: which renders static catalogue data without running cells.
     manifest: Any = None
 
     def render(self) -> str:
@@ -79,69 +81,6 @@ class ExperimentResult:
         """Extract one column by header name."""
         idx = self.headers.index(header)
         return [row[idx] for row in self.rows]
-
-
-class ExperimentContext:
-    """Caches traces and baseline miss streams across one experiment."""
-
-    def __init__(self, options: ExperimentOptions) -> None:
-        self.options = options
-        self.config = SystemConfig()
-        self.timing = timing_config()
-        self.suite = WorkloadSuite(seed=options.seed)
-        self._miss_streams: dict[str, list[tuple[int, int]]] = {}
-        #: Manifest of the most recent :meth:`run_cells` sweep (merged
-        #: across calls within one experiment).
-        self.last_manifest = None
-
-    def trace(self, workload: str):
-        return self.suite.trace(workload, self.options.n_accesses)
-
-    def core_traces(self, workload: str):
-        per_core = max(self.options.n_accesses // 2, 20_000)
-        return self.suite.core_traces(workload, per_core,
-                                      n_cores=self.timing.n_cores)
-
-    def miss_stream(self, workload: str) -> list[tuple[int, int]]:
-        """Baseline (pc, block) miss sequence of the measured window."""
-        if workload not in self._miss_streams:
-            trace = self.trace(workload)
-            window = trace.slice(self.options.warmup, len(trace))
-            self._miss_streams[workload] = collect_miss_stream(window, self.config)
-        return self._miss_streams[workload]
-
-    def miss_blocks(self, workload: str) -> list[int]:
-        return [block for _, block in self.miss_stream(workload)]
-
-    def run_prefetcher(self, workload: str, name: str,
-                       degree: int | None = None,
-                       config: SystemConfig | None = None,
-                       **kwargs: Any) -> SimulationResult:
-        """Trace-driven run with the standard warm-up protocol."""
-        options = self.options
-        cfg = config if config is not None else self.config
-        prefetcher = make_prefetcher(
-            name, cfg, degree=degree if degree is not None else options.degree,
-            **kwargs)
-        return simulate_trace(self.trace(workload), cfg, prefetcher,
-                              warmup=options.warmup)
-
-    def run_cells(self, cells: Sequence[Any]) -> list[dict]:
-        """Execute a sweep of :class:`repro.runner.Cell` objects through
-        the scheduler (worker pool + artifact cache) and return their
-        payload dicts in input order.
-
-        Experiments adopt this incrementally: build the full cell list
-        up front, call ``run_cells`` once, then assemble rows from the
-        payloads.  The run's manifest accumulates on ``last_manifest``
-        so drivers can attach it to their :class:`ExperimentResult`.
-        """
-        from ..runner.scheduler import run_cells as _run_cells
-
-        payloads, manifest = _run_cells(cells, self.options)
-        self.last_manifest = (manifest if self.last_manifest is None
-                              else self.last_manifest.merged_with(manifest))
-        return payloads
 
 
 def payload_field(payload: Any, name: str, default: Any = float("nan")) -> Any:

@@ -11,30 +11,33 @@ no-prefetcher baseline — the Fig. 14 methodology on mixed cores.
 
 from __future__ import annotations
 
-from ..sim.multicore import simulate_multicore
-from ..workloads.mixes import STANDARD_MIXES, mix_traces
-from .common import (ExperimentContext, ExperimentOptions, ExperimentResult,
-                     gmean_speedup)
+from ..runner import Cell, run_cells
+from ..workloads.mixes import STANDARD_MIXES
+from .common import ExperimentOptions, ExperimentResult, gmean_speedup, payload_field
 
 PREFETCHERS = ("stms", "digram", "domino")
 
 
+def build_cells(options: ExperimentOptions) -> list[Cell]:
+    """The sweep: mixes × (baseline + prefetchers), timing config."""
+    return [Cell(kind="multicore", workload=mix_name, prefetcher=name,
+                 config_name="timing")
+            for mix_name in STANDARD_MIXES
+            for name in ("baseline",) + PREFETCHERS]
+
+
 def run(options: ExperimentOptions | None = None) -> ExperimentResult:
     options = options or ExperimentOptions()
-    ctx = ExperimentContext(options)
-    per_core = max(options.n_accesses // 2, 20_000)
+    payloads, manifest = run_cells(build_cells(options), options)
+    payload_iter = iter(payloads)
     rows: list[list] = []
     speedups: dict[str, list[float]] = {p: [] for p in PREFETCHERS}
     for mix_name in STANDARD_MIXES:
-        traces = mix_traces(mix_name, per_core, suite=ctx.suite,
-                            seed=options.seed)
-        baseline = simulate_multicore(traces, ctx.timing, "baseline",
-                                      warmup_frac=options.warmup_frac)
-        cells: list = [mix_name, round(baseline.ipc, 3)]
+        baseline_ipc = payload_field(next(payload_iter), "ipc")
+        cells: list = [mix_name, round(baseline_ipc, 3)]
         for name in PREFETCHERS:
-            result = simulate_multicore(traces, ctx.timing, name,
-                                        warmup_frac=options.warmup_frac)
-            speedup = result.ipc / baseline.ipc if baseline.ipc else 0.0
+            ipc = payload_field(next(payload_iter), "ipc")
+            speedup = ipc / baseline_ipc if baseline_ipc else 0.0
             speedups[name].append(speedup)
             cells.append(round(speedup, 3))
         rows.append(cells)
@@ -48,4 +51,5 @@ def run(options: ExperimentOptions | None = None) -> ExperimentResult:
         notes=("Beyond the paper: per-core mixed workloads.  Expected "
                "shape: the Domino-over-STMS ordering survives consolidation."),
         series={"speedups": speedups},
+        manifest=manifest,
     )

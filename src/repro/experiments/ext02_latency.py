@@ -10,29 +10,35 @@ widening with latency is the predicted signature.
 
 from __future__ import annotations
 
-from ..sim.multicore import simulate_multicore
-from .common import ExperimentContext, ExperimentOptions, ExperimentResult
+from ..runner import Cell, run_cells
+from .common import ExperimentOptions, ExperimentResult, payload_field
 
 LATENCIES_NS = (30.0, 45.0, 60.0, 90.0)
 PREFETCHERS = ("stms", "domino")
 
 
+def build_cells(options: ExperimentOptions) -> list[Cell]:
+    """latencies × (baseline + prefetchers) on the first workload; the
+    default 45 ns point is fig14's cells."""
+    return [Cell(kind="multicore", workload=options.workloads[0],
+                 prefetcher=name, config_name="timing",
+                 overrides=(("memory_latency_ns", latency),))
+            for latency in LATENCIES_NS
+            for name in ("baseline",) + PREFETCHERS]
+
+
 def run(options: ExperimentOptions | None = None) -> ExperimentResult:
     options = options or ExperimentOptions()
-    ctx = ExperimentContext(options)
     workload = options.workloads[0]
-    traces = ctx.core_traces(workload)
+    payloads, manifest = run_cells(build_cells(options), options)
+    payload_iter = iter(payloads)
     rows: list[list] = []
     for latency in LATENCIES_NS:
-        config = ctx.timing.scaled(memory_latency_ns=latency)
-        baseline = simulate_multicore(traces, config, "baseline",
-                                      warmup_frac=options.warmup_frac)
-        cells: list = [f"{latency:g} ns", round(baseline.ipc, 3)]
-        for name in PREFETCHERS:
-            result = simulate_multicore(traces, config, name,
-                                        warmup_frac=options.warmup_frac)
-            cells.append(round(result.ipc / baseline.ipc, 3)
-                         if baseline.ipc else 0.0)
+        baseline_ipc = payload_field(next(payload_iter), "ipc")
+        cells: list = [f"{latency:g} ns", round(baseline_ipc, 3)]
+        for _ in PREFETCHERS:
+            ipc = payload_field(next(payload_iter), "ipc")
+            cells.append(round(ipc / baseline_ipc, 3) if baseline_ipc else 0.0)
         rows.append(cells)
     return ExperimentResult(
         experiment_id="ext02",
@@ -42,4 +48,5 @@ def run(options: ExperimentOptions | None = None) -> ExperimentResult:
         notes=("Predicted signature: both prefetchers gain more at higher "
                "latency, and Domino's one-round-trip first prefetch widens "
                "its edge over STMS as the round trip gets more expensive."),
+        manifest=manifest,
     )

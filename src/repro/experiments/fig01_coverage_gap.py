@@ -8,25 +8,36 @@ exploit, and PC-localised ISB does worse than global-history STMS.
 
 from __future__ import annotations
 
-from ..sequitur.analysis import analyze_sequence
-from .common import ExperimentContext, ExperimentOptions, ExperimentResult, mean
+from ..runner import Cell, run_cells
+from .common import ExperimentOptions, ExperimentResult, mean, payload_field
+
+
+def build_cells(options: ExperimentOptions) -> list[Cell]:
+    """Per workload: ISB and STMS trace cells, then the opportunity cell."""
+    cells: list[Cell] = []
+    for workload in options.workloads:
+        cells.append(Cell(kind="trace", workload=workload, prefetcher="isb"))
+        cells.append(Cell(kind="trace", workload=workload, prefetcher="stms"))
+        cells.append(Cell(kind="opportunity", workload=workload))
+    return cells
 
 
 def run(options: ExperimentOptions | None = None) -> ExperimentResult:
     options = options or ExperimentOptions()
-    ctx = ExperimentContext(options)
+    payloads, manifest = run_cells(build_cells(options), options)
+    payload_iter = iter(payloads)
     rows: list[list] = []
     isb_covs: list[float] = []
     stms_covs: list[float] = []
     opps: list[float] = []
     for workload in options.workloads:
-        isb = ctx.run_prefetcher(workload, "isb")
-        stms = ctx.run_prefetcher(workload, "stms")
-        opportunity = analyze_sequence(ctx.miss_blocks(workload)).opportunity
-        isb_covs.append(isb.coverage)
-        stms_covs.append(stms.coverage)
+        isb = payload_field(next(payload_iter), "coverage")
+        stms = payload_field(next(payload_iter), "coverage")
+        opportunity = payload_field(next(payload_iter), "opportunity")
+        isb_covs.append(isb)
+        stms_covs.append(stms)
         opps.append(opportunity)
-        rows.append([workload, round(isb.coverage, 3), round(stms.coverage, 3),
+        rows.append([workload, round(isb, 3), round(stms, 3),
                      round(opportunity, 3)])
     rows.append(["average", round(mean(isb_covs), 3), round(mean(stms_covs), 3),
                  round(mean(opps), 3)])
@@ -37,4 +48,5 @@ def run(options: ExperimentOptions | None = None) -> ExperimentResult:
         rows=rows,
         notes=("Paper shape: STMS < 47% of misses on average, ISB below "
                "STMS, both far below the Sequitur opportunity."),
+        manifest=manifest,
     )

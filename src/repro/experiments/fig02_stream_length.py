@@ -8,22 +8,29 @@ pick.
 
 from __future__ import annotations
 
-from ..sequitur.analysis import analyze_sequence
-from .common import ExperimentContext, ExperimentOptions, ExperimentResult, mean
+from ..runner import Cell, run_cells
+from .common import ExperimentOptions, ExperimentResult, mean, payload_field
+
+
+def build_cells(options: ExperimentOptions) -> list[Cell]:
+    """Per workload: STMS and Digram trace cells, then the opportunity cell."""
+    cells: list[Cell] = []
+    for workload in options.workloads:
+        cells.append(Cell(kind="trace", workload=workload, prefetcher="stms"))
+        cells.append(Cell(kind="trace", workload=workload, prefetcher="digram"))
+        cells.append(Cell(kind="opportunity", workload=workload))
+    return cells
 
 
 def run(options: ExperimentOptions | None = None) -> ExperimentResult:
     options = options or ExperimentOptions()
-    ctx = ExperimentContext(options)
+    payloads, manifest = run_cells(build_cells(options), options)
+    payload_iter = iter(payloads)
     rows: list[list] = []
     per_prefetcher: dict[str, list[float]] = {"stms": [], "digram": [], "sequitur": []}
     for workload in options.workloads:
-        stms = ctx.run_prefetcher(workload, "stms")
-        digram = ctx.run_prefetcher(workload, "digram")
-        seq = analyze_sequence(ctx.miss_blocks(workload))
-        lengths = [stms.stream_lengths.mean_length,
-                   digram.stream_lengths.mean_length,
-                   seq.mean_stream_length]
+        lengths = [payload_field(next(payload_iter), "mean_stream_length")
+                   for _ in per_prefetcher]
         for key, value in zip(per_prefetcher, lengths, strict=True):
             per_prefetcher[key].append(value)
         rows.append([workload] + [round(v, 2) for v in lengths])
@@ -36,4 +43,5 @@ def run(options: ExperimentOptions | None = None) -> ExperimentResult:
         rows=rows,
         notes=("Paper shape: Sequitur streams longest (7.6 avg in the "
                "paper), Digram longer than STMS (1.4 avg in the paper)."),
+        manifest=manifest,
     )

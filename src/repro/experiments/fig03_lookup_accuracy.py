@@ -7,20 +7,27 @@ paper's justification for stopping at two.
 
 from __future__ import annotations
 
-from ..prefetchers.multi_lookup import LookupDepthAnalyzer
-from .common import ExperimentContext, ExperimentOptions, ExperimentResult, mean
+from ..runner import Cell, run_cells
+from .common import ExperimentOptions, ExperimentResult, mean, payload_field
 
 MAX_DEPTH = 5
 
 
+def build_cells(options: ExperimentOptions) -> list[Cell]:
+    """One lookup-depth cell per workload; fig04 reads the same cells."""
+    return [Cell(kind="lookup_depth", workload=workload,
+                 params=(("max_depth", MAX_DEPTH),))
+            for workload in options.workloads]
+
+
 def run(options: ExperimentOptions | None = None) -> ExperimentResult:
     options = options or ExperimentOptions()
-    ctx = ExperimentContext(options)
+    payloads, manifest = run_cells(build_cells(options), options)
     rows: list[list] = []
     per_depth: list[list[float]] = [[] for _ in range(MAX_DEPTH)]
-    for workload in options.workloads:
-        stats = LookupDepthAnalyzer(MAX_DEPTH).analyze(ctx.miss_blocks(workload))
-        values = [s.accuracy_given_match for s in stats]
+    for workload, payload in zip(options.workloads, payloads, strict=True):
+        values = payload_field(payload, "accuracy_given_match",
+                               [float("nan")] * MAX_DEPTH)
         for depth, value in enumerate(values):
             per_depth[depth].append(value)
         rows.append([workload] + [round(v, 3) for v in values])
@@ -33,4 +40,5 @@ def run(options: ExperimentOptions | None = None) -> ExperimentResult:
         rows=rows,
         notes=("Paper shape: accuracy rises steeply from one to two "
                "addresses, then flattens beyond three."),
+        manifest=manifest,
     )

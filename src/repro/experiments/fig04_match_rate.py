@@ -7,20 +7,19 @@ opportunity and Domino falls back to a single address.
 
 from __future__ import annotations
 
-from ..prefetchers.multi_lookup import LookupDepthAnalyzer
-from .common import ExperimentContext, ExperimentOptions, ExperimentResult, mean
-
-MAX_DEPTH = 5
+from ..runner import run_cells
+from .common import ExperimentOptions, ExperimentResult, mean, payload_field
+from .fig03_lookup_accuracy import MAX_DEPTH, build_cells
 
 
 def run(options: ExperimentOptions | None = None) -> ExperimentResult:
     options = options or ExperimentOptions()
-    ctx = ExperimentContext(options)
+    payloads, manifest = run_cells(build_cells(options), options)
     rows: list[list] = []
     per_depth: list[list[float]] = [[] for _ in range(MAX_DEPTH)]
-    for workload in options.workloads:
-        stats = LookupDepthAnalyzer(MAX_DEPTH).analyze(ctx.miss_blocks(workload))
-        values = [s.match_rate for s in stats]
+    for workload, payload in zip(options.workloads, payloads, strict=True):
+        values = payload_field(payload, "match_rate",
+                               [float("nan")] * MAX_DEPTH)
         for depth, value in enumerate(values):
             per_depth[depth].append(value)
         rows.append([workload] + [round(v, 3) for v in values])
@@ -32,4 +31,5 @@ def run(options: ExperimentOptions | None = None) -> ExperimentResult:
         headers=["workload"] + [f"depth{d}" for d in range(1, MAX_DEPTH + 1)],
         rows=rows,
         notes="Paper shape: match rate decreases monotonically with depth.",
+        manifest=manifest,
     )

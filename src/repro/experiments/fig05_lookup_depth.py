@@ -7,25 +7,36 @@ the benefit is realised at N = 2 — the design point Domino adopts.
 
 from __future__ import annotations
 
-from .common import ExperimentContext, ExperimentOptions, ExperimentResult, mean
+from ..runner import Cell, run_cells
+from .common import ExperimentOptions, ExperimentResult, mean, payload_field
 
 MAX_DEPTH = 5
 
 
+def build_cells(options: ExperimentOptions) -> list[Cell]:
+    """Per workload: the idealised prefetcher at every lookup depth."""
+    return [Cell(kind="trace", workload=workload, prefetcher="multi_lookup",
+                 degree=1, params=(("depth", depth),))
+            for workload in options.workloads
+            for depth in range(1, MAX_DEPTH + 1)]
+
+
 def run(options: ExperimentOptions | None = None) -> ExperimentResult:
     options = options or ExperimentOptions()
-    ctx = ExperimentContext(options)
+    payloads, manifest = run_cells(build_cells(options), options)
+    payload_iter = iter(payloads)
     rows: list[list] = []
     cov_by_depth: list[list[float]] = [[] for _ in range(MAX_DEPTH)]
     over_by_depth: list[list[float]] = [[] for _ in range(MAX_DEPTH)]
     for workload in options.workloads:
         cells: list = [workload]
-        for depth in range(1, MAX_DEPTH + 1):
-            result = ctx.run_prefetcher(workload, "multi_lookup",
-                                        degree=1, depth=depth)
-            cov_by_depth[depth - 1].append(result.coverage)
-            over_by_depth[depth - 1].append(result.overprediction_ratio)
-            cells.append(f"{result.coverage:.3f}/{result.overprediction_ratio:.3f}")
+        for depth in range(MAX_DEPTH):
+            payload = next(payload_iter)
+            coverage = payload_field(payload, "coverage")
+            overpredictions = payload_field(payload, "overprediction_ratio")
+            cov_by_depth[depth].append(coverage)
+            over_by_depth[depth].append(overpredictions)
+            cells.append(f"{coverage:.3f}/{overpredictions:.3f}")
         rows.append(cells)
     rows.append(["average"] + [
         f"{mean(cov_by_depth[d]):.3f}/{mean(over_by_depth[d]):.3f}"
@@ -38,4 +49,5 @@ def run(options: ExperimentOptions | None = None) -> ExperimentResult:
         rows=rows,
         notes=("Cells are coverage/overpredictions.  Paper shape: both "
                "improve sharply from N=1 to N=2, little beyond."),
+        manifest=manifest,
     )

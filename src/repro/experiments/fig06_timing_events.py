@@ -10,28 +10,31 @@ arrive late.
 
 from __future__ import annotations
 
-from ..prefetchers.registry import make_prefetcher
-from ..sim.timing import TimingSimulator
-from .common import ExperimentContext, ExperimentOptions, ExperimentResult
+from ..config import timing_config
+from ..runner import Cell, run_cells
+from .common import ExperimentOptions, ExperimentResult, payload_field
 
 PREFETCHERS = ("stms", "digram", "domino")
 
 
+def build_cells(options: ExperimentOptions) -> list[Cell]:
+    """One single-core timing cell per prefetcher on the first workload."""
+    return [Cell(kind="timing", workload=options.workloads[0], prefetcher=name,
+                 config_name="timing")
+            for name in PREFETCHERS]
+
+
 def run(options: ExperimentOptions | None = None) -> ExperimentResult:
     options = options or ExperimentOptions()
-    ctx = ExperimentContext(options)
     workload = options.workloads[0]
-    trace = ctx.trace(workload)
+    payloads, manifest = run_cells(build_cells(options), options)
+    memory_latency_cycles = timing_config().memory_latency_cycles
     rows: list[list] = []
-    for name in PREFETCHERS:
-        prefetcher = make_prefetcher(name, ctx.timing, degree=options.degree)
-        sim = TimingSimulator(ctx.timing, prefetcher)
-        result = sim.run(trace, warmup_frac=options.warmup_frac)
-        round_trips = prefetcher.first_prefetch_round_trips
-        first_latency = round_trips * ctx.timing.memory_latency_cycles
-        rows.append([name, round_trips, first_latency,
-                     round(1.0 - result.timeliness, 3),
-                     result.prefetch_hits])
+    for name, payload in zip(PREFETCHERS, payloads, strict=True):
+        round_trips = payload_field(payload, "first_prefetch_round_trips")
+        rows.append([name, round_trips, round_trips * memory_latency_cycles,
+                     round(1.0 - payload_field(payload, "timeliness"), 3),
+                     payload_field(payload, "prefetch_hits")])
     return ExperimentResult(
         experiment_id="fig06",
         title=f"Metadata round trips before a stream's first prefetch "
@@ -43,4 +46,5 @@ def run(options: ExperimentOptions | None = None) -> ExperimentResult:
         notes=("Paper shape: STMS/Digram wait two serialised memory "
                "accesses (IT then HT) before the first prefetch; Domino's "
                "EIT row already carries the next address, so one suffices."),
+        manifest=manifest,
     )

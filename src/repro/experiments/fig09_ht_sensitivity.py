@@ -9,23 +9,30 @@ to a plateau) is the reproduced result.
 
 from __future__ import annotations
 
-from .common import ExperimentContext, ExperimentOptions, ExperimentResult
+from ..runner import Cell, run_cells
+from .common import ExperimentOptions, ExperimentResult, payload_field
 
 #: HT capacities swept, in triggering-event entries.
 HT_SIZES = (1 << 12, 1 << 14, 1 << 16, 1 << 18, 1 << 24)
 
 
+def build_cells(options: ExperimentOptions) -> list[Cell]:
+    """Per workload: Domino at every HT size, EIT effectively unlimited."""
+    return [Cell(kind="trace", workload=workload, prefetcher="domino",
+                 overrides=(("eit_rows", 1 << 22), ("ht_entries", ht_entries)))
+            for workload in options.workloads
+            for ht_entries in HT_SIZES]
+
+
 def run(options: ExperimentOptions | None = None) -> ExperimentResult:
     options = options or ExperimentOptions()
-    ctx = ExperimentContext(options)
+    payloads, manifest = run_cells(build_cells(options), options)
+    payload_iter = iter(payloads)
     rows: list[list] = []
     for workload in options.workloads:
-        cells: list = [workload]
-        for ht_entries in HT_SIZES:
-            config = ctx.config.scaled(ht_entries=ht_entries, eit_rows=1 << 22)
-            result = ctx.run_prefetcher(workload, "domino", config=config)
-            cells.append(round(result.coverage, 3))
-        rows.append(cells)
+        rows.append([workload] + [
+            round(payload_field(next(payload_iter), "coverage"), 3)
+            for _ in HT_SIZES])
     return ExperimentResult(
         experiment_id="fig09",
         title="Domino coverage vs History Table entries (EIT unlimited)",
@@ -33,4 +40,5 @@ def run(options: ExperimentOptions | None = None) -> ExperimentResult:
         rows=rows,
         notes=("Paper shape: coverage grows with HT size and saturates; "
                "the paper deploys 16 M entries (85 MB)."),
+        manifest=manifest,
     )

@@ -11,9 +11,12 @@ everything that determines its result:
 * :data:`CODE_VERSION` — a salt bumped whenever simulator or prefetcher
   semantics change in a way that invalidates previously cached results;
 * the cell itself (kind, workload, prefetcher, effective degree,
-  config overrides, extra params);
+  extra params);
 * the full resolved :class:`~repro.config.SystemConfig` (so any config
-  change — even a default changing in code — produces a new key);
+  change — even a default changing in code — produces a new key).
+  Overrides enter only through it: a cell that overrides a field to its
+  base value is the same cell as one that does not override it, so
+  sweeps that pass through a default point share that cell;
 * the trace-shaping fields of
   :class:`~repro.experiments.common.ExperimentOptions`
   (``n_accesses``, ``warmup_frac``, ``seed``).
@@ -41,10 +44,19 @@ from ..errors import RunnerError
 #: Bump to invalidate every previously cached artifact (simulation
 #: semantics changed).  Mirrored in the artifact payloads written by
 #: :class:`repro.runner.store.ResultStore`.
-CODE_VERSION = 1
+CODE_VERSION = 2
 
 #: Cell kinds understood by :mod:`repro.runner.execute`.
-CELL_KINDS = ("trace", "opportunity", "multicore", "table1")
+CELL_KINDS = ("trace", "opportunity", "lookup_depth", "timing",
+              "multicore", "table1")
+
+#: Kinds that analyse the baseline L1-D miss stream of the measured
+#: window (``warmup`` .. ``n_accesses``) rather than replay a prefetcher.
+MISS_STREAM_KINDS = ("opportunity", "lookup_depth")
+
+#: Kinds whose prefetcher runs at the sweep's default degree when the
+#: cell leaves ``degree`` unset, so that default enters their key.
+DEGREE_KINDS = ("trace", "timing")
 
 #: Named base configurations a cell can request.
 CONFIG_NAMES = ("default", "timing")
@@ -61,12 +73,20 @@ class Cell:
         with the standard warm-up protocol.  Uses ``workload``,
         ``prefetcher``, ``degree`` (``None`` → the sweep's default).
     ``opportunity``
-        Sequitur opportunity of the baseline miss stream
-        (degree-independent — shared by fig11 and fig13).
+        Sequitur analysis of the baseline miss stream: opportunity,
+        mean stream length, stream-length CDF (degree-independent —
+        shared by fig01/02/11/12/13).
+    ``lookup_depth``
+        Fig. 3/4 lookup-depth statistics of the baseline miss stream;
+        ``params`` carries ``max_depth``.
+    ``timing``
+        Single-core cycle-accounting run
+        (:class:`repro.sim.timing.TimingSimulator`) for fig06.
     ``multicore``
         Quad-core cycle-accounting run
         (:func:`repro.sim.multicore.simulate_multicore`); ``prefetcher``
-        may be ``"baseline"``.
+        may be ``"baseline"``, and ``workload`` may name a workload or
+        a mix of :data:`repro.workloads.mixes.STANDARD_MIXES`.
     ``table1``
         Static rendering of the evaluated system parameters.
 
@@ -74,7 +94,8 @@ class Cell:
     = Table I, ``"timing"`` = the scaled-LLC cycle-model config) and
     ``overrides`` is a sorted tuple of ``(field, value)`` pairs applied
     on top via :meth:`SystemConfig.scaled`.  ``params`` carries
-    kind-specific extras (hashed, forwarded to the prefetcher factory).
+    kind-specific extras (hashed; forwarded to the prefetcher factory,
+    except for ``lookup_depth``, whose executor reads them itself).
     """
 
     kind: str
@@ -114,6 +135,12 @@ def cell_config(cell: Cell) -> SystemConfig:
     return base.scaled(**overrides) if overrides else base
 
 
+def measured_window(options: "ExperimentOptionsLike") -> tuple[int, int]:
+    """``(warmup, n_accesses)``: the trace slice whose baseline miss
+    stream the :data:`MISS_STREAM_KINDS` analyse."""
+    return int(options.n_accesses * options.warmup_frac), options.n_accesses
+
+
 def _canonical(value: Any) -> Any:
     """Make a value canonically JSON-serialisable (tuples → lists)."""
     if isinstance(value, dict):
@@ -133,8 +160,12 @@ def cell_key(cell: Cell, options: "ExperimentOptionsLike") -> str:
     the experiments layer).
     """
     degree = cell.degree
-    if degree is None and cell.kind == "trace":
+    if degree is None and cell.kind in DEGREE_KINDS:
         degree = options.degree
+    # Overrides are hashed through the resolved config below; checking
+    # them first reports a bad value as a RunnerError, not whatever the
+    # config's own validation happens to raise for it.
+    _canonical(cell.overrides)
     material = {
         "v": CODE_VERSION,
         "cell": {
@@ -142,7 +173,6 @@ def cell_key(cell: Cell, options: "ExperimentOptionsLike") -> str:
             "workload": cell.workload,
             "prefetcher": cell.prefetcher,
             "degree": degree,
-            "overrides": _canonical(sorted(cell.overrides)),
             "params": _canonical(sorted(cell.params)),
         },
         "config": _canonical(dataclasses.asdict(cell_config(cell))),
@@ -167,7 +197,7 @@ def l1_filter_key(workload: str, options: "ExperimentOptionsLike",
     what identifies the trace — ``(workload, n_accesses, seed)``, since
     generation is deterministic in those three — plus the L1-D geometry
     it was filtered through and the optional ``window`` bounds when the
-    filter covers a trace slice (the opportunity cells' measured
+    filter covers a trace slice (the miss-stream cells' measured
     window).  Deliberately **not** keyed on trace content: computing the
     key without the trace is what lets a warm store skip generation
     entirely.

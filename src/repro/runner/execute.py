@@ -6,9 +6,9 @@ picklable.  Payloads are plain JSON-serialisable dicts — exactly what
 the artifact store persists — so a cache hit and a fresh execution are
 indistinguishable to the caller.
 
+Executors are looked up by kind in one table (:data:`_EXECUTORS`).
 Each worker process keeps its own :class:`WorkloadSuite` per seed so
-that consecutive cells on the same workload reuse the generated trace
-(the in-process analogue of what ``ExperimentContext`` did serially).
+that consecutive cells on the same workload reuse the generated trace.
 Trace generation is deterministic in (workload, length, seed), which is
 what makes parallel and serial execution bit-identical.
 """
@@ -24,14 +24,19 @@ from ..config import SystemConfig
 from ..errors import RunnerError, SimulationError
 from ..obs import names as obs_names
 from ..obs.trace import span
+from ..prefetchers.base import Prefetcher
+from ..prefetchers.multi_lookup import LookupDepthAnalyzer
 from ..prefetchers.registry import make_prefetcher
 from ..sequitur.analysis import analyze_sequence
 from ..sim import fastpath
 from ..sim.engine import TraceSimulator, collect_miss_stream, simulate_trace
 from ..sim.multicore import simulate_multicore
+from ..sim.timing import TimingSimulator
 from ..sim.trace import MemoryTrace
+from ..stats.streamstats import length_cdf
+from ..workloads.mixes import STANDARD_MIXES, mix_traces
 from ..workloads.suite import WorkloadSuite
-from .cells import Cell, cell_config, l1_filter_key
+from .cells import Cell, cell_config, l1_filter_key, measured_window
 from .shm import attach_trace, trace_share_key
 
 #: Per-process workload suites, keyed by generation seed.
@@ -143,60 +148,101 @@ def _l1_filter(workload: str, options: Any, config: SystemConfig,
     return filt
 
 
-def _warmup(options: Any) -> int:
-    return int(options.n_accesses * options.warmup_frac)
+def _cell_prefetcher(cell: Cell, config: SystemConfig, options: Any) -> Prefetcher:
+    """The cell's prefetcher at its degree (``None`` → the sweep's)."""
+    degree = cell.degree if cell.degree is not None else options.degree
+    return make_prefetcher(cell.prefetcher, config, degree=degree,
+                           **dict(cell.params))
 
 
 def _execute_trace(cell: Cell, options: Any) -> dict[str, Any]:
     config = cell_config(cell)
-    degree = cell.degree if cell.degree is not None else options.degree
-    prefetcher = make_prefetcher(cell.prefetcher, config, degree=degree,
-                                 **dict(cell.params))
+    prefetcher = _cell_prefetcher(cell, config, options)
+    warmup, _ = measured_window(options)
     if fastpath.enabled():
         filt = _l1_filter(cell.workload, options, config)
         sim = TraceSimulator(config, prefetcher)
-        result = sim.run_filtered(filt, warmup=_warmup(options))
+        result = sim.run_filtered(filt, warmup=warmup)
     else:
         trace = _trace(cell.workload, options)
-        result = simulate_trace(trace, config, prefetcher,
-                                warmup=_warmup(options))
+        result = simulate_trace(trace, config, prefetcher, warmup=warmup)
+    metrics = result.metrics
     return {
         "coverage": result.coverage,
         "overprediction_ratio": result.overprediction_ratio,
         "accuracy": result.accuracy,
-        "misses": result.metrics.misses,
-        "prefetch_hits": result.metrics.prefetch_hits,
-        "prefetches_issued": result.metrics.prefetches_issued,
-        "accesses": result.metrics.accesses,
+        "misses": metrics.misses,
+        "prefetch_hits": metrics.prefetch_hits,
+        "prefetches_issued": metrics.prefetches_issued,
+        "accesses": metrics.accesses,
+        "triggering_events": metrics.triggering_events,
+        "overpredictions": metrics.overpredictions,
+        "metadata_reads": result.metadata.reads,
+        "metadata_writes": result.metadata.writes,
+        "mean_stream_length": result.stream_lengths.mean_length,
+        "component_hits": result.extras.get("component_hits", {}),
     }
 
 
-def _execute_opportunity(cell: Cell, options: Any) -> dict[str, Any]:
+def _baseline_miss_blocks(cell: Cell, options: Any) -> list[int]:
+    """Blocks of the baseline (no-prefetcher) L1-D miss stream over the
+    measured window — the input of every :data:`MISS_STREAM_KINDS` cell."""
     config = cell_config(cell)
+    window = measured_window(options)
     if fastpath.enabled():
         # With a NullPrefetcher the buffer never fills, so the baseline
         # miss stream over the measured window *is* the window's L1
         # filter — no engine run needed.
-        bounds = (_warmup(options), options.n_accesses)
-        filt = _l1_filter(cell.workload, options, config, window=bounds)
-        blocks = filt.blocks.tolist()
-    else:
-        trace = _trace(cell.workload, options)
-        window = trace.slice(_warmup(options), len(trace))
-        miss_stream = collect_miss_stream(window, config)
-        blocks = [block for _, block in miss_stream]
+        filt = _l1_filter(cell.workload, options, config, window=window)
+        blocks: list[int] = filt.blocks.tolist()
+        return blocks
+    trace = _trace(cell.workload, options).slice(*window)
+    return [block for _, block in collect_miss_stream(trace, config)]
+
+
+def _execute_opportunity(cell: Cell, options: Any) -> dict[str, Any]:
+    blocks = _baseline_miss_blocks(cell, options)
     analysis = analyze_sequence(blocks)
     return {
         "opportunity": analysis.opportunity,
         "n_misses": len(blocks),
+        "mean_stream_length": analysis.mean_stream_length,
+        "stream_length_cdf": length_cdf(analysis.stream_lengths.lengths),
+    }
+
+
+def _execute_lookup_depth(cell: Cell, options: Any) -> dict[str, Any]:
+    max_depth = dict(cell.params)["max_depth"]
+    stats = LookupDepthAnalyzer(max_depth).analyze(
+        _baseline_miss_blocks(cell, options))
+    return {
+        "match_rate": [s.match_rate for s in stats],
+        "accuracy_given_match": [s.accuracy_given_match for s in stats],
+    }
+
+
+def _execute_timing(cell: Cell, options: Any) -> dict[str, Any]:
+    config = cell_config(cell)
+    prefetcher = _cell_prefetcher(cell, config, options)
+    result = TimingSimulator(config, prefetcher).run(
+        _trace(cell.workload, options), warmup_frac=options.warmup_frac)
+    return {
+        "timeliness": result.timeliness,
+        "prefetch_hits": result.prefetch_hits,
+        "first_prefetch_round_trips": prefetcher.first_prefetch_round_trips,
     }
 
 
 def _execute_multicore(cell: Cell, options: Any) -> dict[str, Any]:
     config = cell_config(cell)
     per_core = max(options.n_accesses // 2, 20_000)
-    traces = _suite(options.seed).core_traces(cell.workload, per_core,
-                                              n_cores=config.n_cores)
+    suite = _suite(options.seed)
+    if cell.workload in STANDARD_MIXES:
+        traces = mix_traces(cell.workload, per_core, suite=suite,
+                            seed=options.seed)
+    else:
+        traces = suite.core_traces(cell.workload, per_core,
+                                   n_cores=config.n_cores)
     result = simulate_multicore(traces, config, cell.prefetcher,
                                 warmup_frac=options.warmup_frac,
                                 **dict(cell.params))
@@ -237,6 +283,8 @@ def _execute_table1(cell: Cell, options: Any) -> dict[str, Any]:
 _EXECUTORS = {
     "trace": _execute_trace,
     "opportunity": _execute_opportunity,
+    "lookup_depth": _execute_lookup_depth,
+    "timing": _execute_timing,
     "multicore": _execute_multicore,
     "table1": _execute_table1,
 }

@@ -51,7 +51,8 @@ from ..faults import FaultPlan, corrupt_artifact
 from ..sim import fastpath
 from ..workloads.suite import WorkloadSuite
 from . import shm
-from .cells import Cell, cell_config, cell_key, l1_filter_key
+from .cells import (MISS_STREAM_KINDS, Cell, cell_config, cell_key,
+                    l1_filter_key, measured_window)
 from .checkpoint import CheckpointJournal
 from .execute import CellTelemetry, execute_timed
 from .manifest import RunManifest
@@ -354,9 +355,10 @@ def _trace_share_plan(pending: list[tuple[int, str, Cell]], options: Any,
                       store: ResultStore | None) -> dict[str, str]:
     """Spec key -> workload for traces some pool worker will generate.
 
-    A trace is needed unless the fastpath will serve the cell from an
-    already-stored filter — probed via :func:`l1_filter_key`, which is
-    computable without the trace bytes.  A filter that is *not* stored
+    Timing cells always read the trace.  Filter-reading cells need it
+    unless the fastpath will serve the cell from an already-stored
+    filter — probed via :func:`l1_filter_key`, which is computable
+    without the trace bytes.  A filter that is *not* stored
     yet means the first worker to claim the cell builds it from the
     trace (and concurrent workers on sibling cells race to do the
     same), so the trace still has to travel.
@@ -364,14 +366,11 @@ def _trace_share_plan(pending: list[tuple[int, str, Cell]], options: Any,
     needed: dict[str, str] = {}
     fastpath_on = fastpath.enabled()
     for _, _, cell in pending:
-        if cell.kind not in ("trace", "opportunity"):
+        if cell.kind not in ("trace", "timing") + MISS_STREAM_KINDS:
             continue
-        if fastpath_on and store is not None:
-            if cell.kind == "trace":
-                window = None
-            else:
-                window = (int(options.n_accesses * options.warmup_frac),
-                          options.n_accesses)
+        if fastpath_on and store is not None and cell.kind != "timing":
+            window = (measured_window(options)
+                      if cell.kind in MISS_STREAM_KINDS else None)
             fkey = l1_filter_key(cell.workload, options, cell_config(cell),
                                  window=window)
             if store.path_for(fkey).exists():

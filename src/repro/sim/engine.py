@@ -270,16 +270,14 @@ class TraceSimulator:
         else:
             next_check = NEVER
 
-        # One packed materialisation, cached on the filter — every cell
-        # sharing this filter (memo or store mmap) reuses the same rows.
-        rows = filt.replay_rows()
+        columns = filt.replay_columns()
         resident: set[int] = set()
         reset_done = warmup == 0
 
         with trace_span(obs_names.SPAN_SIMULATE, trace=filt.trace_name,
                         accesses=n_accesses, mode="replay"), \
                 timed("simulate", emit=False):
-            for i, pc, block, victim_block in rows:
+            for i, pc, block, victim_block in zip(*columns, strict=True):
                 if i >= next_check:
                     cancel.checkpoint(i - published)
                     published = i

@@ -52,7 +52,7 @@ import io
 import os
 import time
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -120,10 +120,6 @@ class L1Filter:
     pcs: np.ndarray
     blocks: np.ndarray
     evicted: np.ndarray
-    #: Packed replay rows, built lazily once per filter object (see
-    #: :meth:`replay_rows`); never part of identity or comparisons.
-    _rows: list[list[int]] | None = field(default=None, init=False,
-                                          repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = len(self.indices)
@@ -152,24 +148,16 @@ class L1Filter:
         """Number of recorded misses with access index >= ``warmup``."""
         return int(self.n_misses - np.searchsorted(self.indices, warmup))
 
-    def replay_rows(self) -> list[list[int]]:
-        """``[index, pc, block, evicted]`` rows for the engine's replay.
+    def replay_columns(self) -> tuple[list[int], ...]:
+        """``(indices, pcs, blocks, evicted)`` as Python int lists.
 
-        One packed ``np.stack(...).tolist()`` materialisation, cached on
-        the filter, so every cell sharing a memoized/store-served filter
-        walks plain Python ints with zero per-cell prep — replacing the
-        four full ``tolist()`` copies the replay used to make per run.
+        The replay zips the four columns, so its loop walks plain
+        Python ints.  Built per replay and dropped with it rather than
+        cached on the filter: a memoized filter then holds only its
+        int64 arrays, where cached int lists would keep ~150 B per miss
+        alive for the life of the process.
         """
-        rows = self._rows
-        if rows is None:
-            if self.n_misses:
-                rows = np.stack(
-                    (self.indices, self.pcs, self.blocks, self.evicted),
-                    axis=1).tolist()
-            else:
-                rows = []
-            object.__setattr__(self, "_rows", rows)
-        return rows
+        return tuple(getattr(self, fname).tolist() for fname in _ARRAY_FIELDS)
 
 
 # -- build kernels ----------------------------------------------------------

@@ -1,45 +1,8 @@
-"""Experiment plumbing: context caching and helpers."""
+"""Experiment plumbing: table helpers."""
 
 import pytest
 
-from repro.experiments.common import (ExperimentContext, ExperimentOptions,
-                                      gmean_speedup, mean)
-
-
-@pytest.fixture
-def options():
-    return ExperimentOptions(n_accesses=6000, workloads=("oltp",), seed=3)
-
-
-def test_trace_cached_across_calls(options):
-    ctx = ExperimentContext(options)
-    assert ctx.trace("oltp") is ctx.trace("oltp")
-
-
-def test_miss_stream_covers_measured_window_only(options):
-    ctx = ExperimentContext(options)
-    misses = ctx.miss_stream("oltp")
-    assert 0 < len(misses) < options.n_accesses - options.warmup
-    assert ctx.miss_stream("oltp") is misses  # cached
-
-
-def test_run_prefetcher_uses_warmup(options):
-    ctx = ExperimentContext(options)
-    result = ctx.run_prefetcher("oltp", "stms")
-    assert result.metrics.accesses == options.n_accesses - options.warmup
-
-
-def test_run_prefetcher_accepts_config_override(options):
-    ctx = ExperimentContext(options)
-    config = ctx.config.scaled(eit_rows=64)
-    result = ctx.run_prefetcher("oltp", "domino", config=config)
-    assert result.prefetcher == "domino"
-
-
-def test_core_traces_shape(options):
-    ctx = ExperimentContext(options)
-    traces = ctx.core_traces("oltp")
-    assert len(traces) == ctx.timing.n_cores
+from repro.experiments.common import gmean_speedup, mean
 
 
 def test_mean_and_gmean():

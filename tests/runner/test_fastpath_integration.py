@@ -13,6 +13,7 @@ from repro.runner import Cell, ExecutionPolicy, ResultStore, run_cells
 from repro.runner import execute as execute_mod
 from repro.runner.cells import l1_filter_key
 from repro.sim import fastpath
+from repro.stats.streamstats import DEFAULT_BINS
 from repro.workloads.suite import WorkloadSuite
 
 
@@ -33,16 +34,43 @@ def _grid():
     return cells
 
 
+def _toggle_grid():
+    """``_grid()`` plus the other filter-reading cell shapes: a
+    lookup-depth cell and a Domino cell with shrunken metadata tables."""
+    return _grid() + [
+        Cell(kind="lookup_depth", workload="oltp",
+             params=(("max_depth", 3),)),
+        Cell(kind="trace", workload="oltp", prefetcher="domino", degree=1,
+             overrides=(("eit_rows", 64), ("ht_entries", 1 << 10))),
+    ]
+
+
 class TestFastpathToggleEquivalence:
     def test_payloads_identical_on_and_off(self, tiny_options, tmp_path,
                                            monkeypatch):
+        cells = _toggle_grid()
         monkeypatch.setenv("DOMINO_FASTPATH", "0")
-        off, _ = run_cells(_grid(), tiny_options,
+        off, _ = run_cells(cells, tiny_options,
                            ExecutionPolicy(use_cache=False))
         monkeypatch.setenv("DOMINO_FASTPATH", "1")
-        on, _ = run_cells(_grid(), tiny_options,
+        on, _ = run_cells(cells, tiny_options,
                           ExecutionPolicy(use_cache=False))
         assert on == off
+        # Trace cells measure the window after the warm-up only.
+        measured = tiny_options.n_accesses - tiny_options.warmup
+        assert all(payload["accesses"] == measured
+                   for cell, payload in zip(cells, on, strict=True)
+                   if cell.kind == "trace")
+        opportunity = on[3]
+        cdf = opportunity["stream_length_cdf"]
+        assert list(cdf) == [f"<={b}" for b in DEFAULT_BINS] + ["128+"]
+        assert list(cdf.values()) == sorted(cdf.values())
+        assert opportunity["mean_stream_length"] > 0
+        depth = on[4]
+        assert len(depth["match_rate"]) == len(depth["accuracy_given_match"]) == 3
+        # The config override reached the prefetcher: same cell shape,
+        # different tables, different result.
+        assert on[-1] != on[2]
 
     def test_store_served_filter_equivalent(self, tiny_options, tmp_path,
                                             monkeypatch):
