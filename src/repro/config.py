@@ -123,6 +123,12 @@ class SystemConfig:
             raise ConfigError("metadata row geometry must be positive")
         if self.memory_latency_ns <= 0 or self.peak_bandwidth_gbps <= 0:
             raise ConfigError("memory parameters must be positive")
+        if (self.clock_ghz <= 0 or self.issue_width <= 0
+                or self.rob_entries <= 0 or self.l1_mshrs <= 0):
+            raise ConfigError("core parameters (clock_ghz, issue_width, "
+                              "rob_entries, l1_mshrs) must be positive")
+        if self.prefetch_drop_backlog_blocks < 0:
+            raise ConfigError("prefetch_drop_backlog_blocks must be non-negative")
 
     # -- derived timing quantities --------------------------------------
     @property

@@ -1,4 +1,4 @@
-"""DRAM latency and shared off-chip bandwidth model.
+"""Shared off-chip bandwidth model.
 
 The paper's chip has two memory controllers delivering up to 37.5 GB/s
 shared across four cores, with a 45 ns access delay.  The timing results
@@ -11,42 +11,13 @@ shared across four cores, with a 45 ns access delay.  The timing results
 :class:`BandwidthLedger` is a single-server queue shared by all cores of
 a chip: a request arriving at time ``t`` starts service at
 ``max(t, channel_free)`` and holds the channel for one block-service
-time.  :class:`DramModel` layers the fixed access latency on top and
-keeps traffic counters by category for the Fig. 15 decomposition.
+time.  The timing model (:mod:`repro.sim.timing`) adds the fixed 45 ns
+access latency and inlines :meth:`BandwidthLedger.request` on the
+ledger's public state (``demand_free``/``channel_free``/``transfers``/
+``busy_cycles``).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
-
-from ..config import BLOCK_SIZE, SystemConfig
-
-
-@dataclass
-class TrafficCounters:
-    """Block transfers by category (the Fig. 15 stack)."""
-
-    demand: int = 0
-    prefetch_useful: int = 0
-    prefetch_useless: int = 0
-    metadata_read: int = 0
-    metadata_write: int = 0
-
-    @property
-    def total(self) -> int:
-        return (self.demand + self.prefetch_useful + self.prefetch_useless
-                + self.metadata_read + self.metadata_write)
-
-    @property
-    def total_bytes(self) -> int:
-        return self.total * BLOCK_SIZE
-
-    def merge(self, other: "TrafficCounters") -> None:
-        self.demand += other.demand
-        self.prefetch_useful += other.prefetch_useful
-        self.prefetch_useless += other.prefetch_useless
-        self.metadata_read += other.metadata_read
-        self.metadata_write += other.metadata_write
 
 
 class BandwidthLedger:
@@ -66,8 +37,8 @@ class BandwidthLedger:
         if cycles_per_block <= 0:
             raise ValueError("cycles_per_block must be positive")
         self.cycles_per_block = cycles_per_block
-        self._demand_free = 0.0
-        self._channel_free = 0.0
+        self.demand_free = 0.0
+        self.channel_free = 0.0
         self.transfers = 0
         self.busy_cycles = 0.0
 
@@ -78,58 +49,24 @@ class BandwidthLedger:
         channel picked it up).  The caller adds its own fixed latency.
         """
         if demand:
-            start = self._demand_free if self._demand_free > now else now
-            self._demand_free = start + self.cycles_per_block
+            start = self.demand_free if self.demand_free > now else now
+            self.demand_free = start + self.cycles_per_block
             # Demand occupancy also delays the prefetch class.
-            if self._channel_free < self._demand_free:
-                self._channel_free = self._demand_free
+            if self.channel_free < self.demand_free:
+                self.channel_free = self.demand_free
         else:
-            start = self._channel_free if self._channel_free > now else now
-            self._channel_free = start + self.cycles_per_block
+            start = self.channel_free if self.channel_free > now else now
+            self.channel_free = start + self.cycles_per_block
         self.transfers += 1
         self.busy_cycles += self.cycles_per_block
         return start - now
 
     def backlog(self, now: float) -> float:
         """Cycles of queued prefetch-class work ahead of ``now``."""
-        return max(0.0, self._channel_free - now)
+        return max(0.0, self.channel_free - now)
 
     def utilization(self, elapsed_cycles: float) -> float:
         """Fraction of ``elapsed_cycles`` the channel was busy."""
         if elapsed_cycles <= 0:
             return 0.0
         return min(1.0, self.busy_cycles / elapsed_cycles)
-
-
-class DramModel:
-    """Latency + bandwidth + per-category traffic accounting."""
-
-    #: Traffic categories accepted by :meth:`access`.
-    CATEGORIES = ("demand", "prefetch_useful", "prefetch_useless",
-                  "metadata_read", "metadata_write")
-
-    def __init__(self, config: SystemConfig, ledger: BandwidthLedger | None = None) -> None:
-        self.config = config
-        self.latency = config.memory_latency_cycles
-        self.ledger = ledger if ledger is not None else BandwidthLedger(
-            config.cycles_per_block_transfer)
-        self.traffic = TrafficCounters()
-
-    def access(self, now: float, category: str = "demand") -> float:
-        """One block transfer starting at cycle ``now``.
-
-        Returns the completion time: fixed latency plus any queueing
-        delay behind earlier transfers on the shared channel.
-        """
-        if category not in self.CATEGORIES:
-            raise ValueError(f"unknown traffic category {category!r}")
-        queue_delay = self.ledger.request(now, demand=(category == "demand"))
-        setattr(self.traffic, category, getattr(self.traffic, category) + 1)
-        return now + queue_delay + self.latency
-
-    def count_only(self, category: str, blocks: int = 1) -> None:
-        """Record traffic without timing (used by the trace-driven engine,
-        which measures coverage, not cycles)."""
-        if category not in self.CATEGORIES:
-            raise ValueError(f"unknown traffic category {category!r}")
-        setattr(self.traffic, category, getattr(self.traffic, category) + blocks)

@@ -147,13 +147,14 @@ MET_UPTIME_S = "uptime_s"                  # gauge, seconds since server start
 # -- spans (causal timing tree; validated by OBS002) ------------------------
 # Names are "<layer>.<region>"; the tree a traced request produces is
 #   serve.connection > serve.job > serve.cell > runner.run > runner.cell
-#   > sim.simulate / fastpath.build, and a batch run's is
+#   > sim.simulate / fastpath.build / sim.timing, and a batch run's is
 #   cli.experiment > runner.run > runner.cell > ... (same tail).
 SPAN_EXPERIMENT = "cli.experiment"         # one CLI experiment invocation
 SPAN_RUN_CELLS = "runner.run"              # one run_cells() call
 SPAN_CELL = "runner.cell"                  # one cell execution (worker root)
 SPAN_SIMULATE = "sim.simulate"             # one engine run (full or replay)
 SPAN_FASTPATH_BUILD = "fastpath.build"     # one L1 filter build
+SPAN_TIMING = "sim.timing"                 # one cycle-model run (1 or n cores)
 SPAN_CONNECTION = "serve.connection"       # one client connection lifetime
 SPAN_JOB = "serve.job"                     # one admitted job, pickup -> done
 SPAN_SERVE_CELL = "serve.cell"             # one served cell inside a job

@@ -1,8 +1,8 @@
 """Quad-core timing simulation (the Fig. 14 configuration).
 
 Four cores run slices of the same workload over a shared LLC and a
-shared off-chip channel.  The cores are interleaved in time order — at
-every step the core with the smallest local clock advances one access —
+shared off-chip channel.  The cores are interleaved in time order — the
+core with the smallest local clock advances while it holds the minimum —
 so bandwidth contention between demand misses, prefetches, and metadata
 traffic is resolved in (approximate) global time order.
 
@@ -13,11 +13,14 @@ instructions to total cycles across the chip.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 
 from ..config import SystemConfig
 from ..memory.cache import Cache
 from ..memory.dram import BandwidthLedger
+from ..obs import names as obs_names
+from ..obs.trace import span as trace_span
 from ..prefetchers.base import Prefetcher
 from ..prefetchers.registry import make_prefetcher
 from .timing import TimingResult, TimingSimulator
@@ -86,6 +89,7 @@ def simulate_multicore(trace: MemoryTrace | list[MemoryTrace], config: SystemCon
     shared_ledger = BandwidthLedger(config.cycles_per_block_transfer)
 
     cores: list[TimingSimulator] = []
+    kernels = []
     for core_slice in slices:
         if prefetcher_factory is not None:
             prefetcher: Prefetcher = prefetcher_factory(config)
@@ -93,24 +97,37 @@ def simulate_multicore(trace: MemoryTrace | list[MemoryTrace], config: SystemCon
             prefetcher = make_prefetcher(prefetcher_name, config, **prefetcher_kwargs)
         sim = TimingSimulator(config, prefetcher, shared_llc=shared_llc,
                               shared_ledger=shared_ledger)
-        sim.load(core_slice, warmup=int(len(core_slice) * warmup_frac))
+        kernels.append(sim.load(core_slice,
+                                warmup=int(len(core_slice) * warmup_frac)))
         cores.append(sim)
 
-    # Advance the core with the smallest local clock each step so shared
-    # resources see requests in (approximately) global time order.
-    heap = [(sim.now, idx) for idx, sim in enumerate(cores)]
+    # The core with the smallest (clock, index) advances, so shared
+    # resources see requests in (approximately) global time order.  A
+    # popped core keeps running while its (clock, index) stays below the
+    # heap top's: exactly the cores one heap pop per access would pick,
+    # ties included, without the pop/push per access.
+    heap = [(sim.now, idx) for idx, sim in enumerate(cores) if not sim.done()]
     heapq.heapify(heap)
-    while heap:
-        _, idx = heapq.heappop(heap)
-        sim = cores[idx]
-        sim.step()
-        if not sim.done():
-            heapq.heappush(heap, (sim.now, idx))
+    with trace_span(obs_names.SPAN_TIMING, workload=workload_name,
+                    prefetcher=cores[0].prefetcher.name, cores=len(cores),
+                    steps=sum(len(s) for s in slices)):
+        while heap:
+            _, idx = heapq.heappop(heap)
+            if heap:
+                top_now, top_idx = heap[0]
+                # Below (top_now, top_idx) means now < top_now, or
+                # now == top_now when idx < top_idx: now < nextafter.
+                limit = (math.nextafter(top_now, math.inf) if idx < top_idx
+                         else top_now)
+            else:
+                limit = math.inf
+            if kernels[idx](limit):
+                heapq.heappush(heap, (cores[idx].now, idx))
 
-    result = MulticoreResult(workload=workload_name,
-                             prefetcher=cores[0].prefetcher.name)
-    for sim in cores:
-        result.per_core.append(sim.finalise())
+        result = MulticoreResult(workload=workload_name,
+                                 prefetcher=cores[0].prefetcher.name)
+        for sim in cores:
+            result.per_core.append(sim.finalise())
     # Utilisation is reported over the whole run (warm-up included);
     # the shared ledger cannot attribute busy cycles to one window.
     result.bandwidth_utilization = shared_ledger.utilization(

@@ -26,15 +26,19 @@ throughput metric).
 
 from __future__ import annotations
 
+import math
 from collections import deque
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
 
 from ..config import SystemConfig
 from ..memory.cache import Cache
-from ..memory.dram import BandwidthLedger, DramModel
-from ..memory.hierarchy import AccessOutcome, MemoryHierarchy
-from ..memory.prefetch_buffer import PrefetchBuffer
+from ..memory.dram import BandwidthLedger
+from ..memory.prefetch_buffer import BufferEntry, PrefetchBuffer
+from ..obs import names as obs_names
+from ..obs.trace import span as trace_span
 from ..prefetchers.base import NullPrefetcher, Prefetcher
+from .engine import TraceSimulator
 from .trace import MemoryTrace
 
 
@@ -67,45 +71,58 @@ class TimingResult:
 
 
 class TimingSimulator:
-    """Replays one trace on one core with cycle accounting."""
+    """Replays one trace on one core with cycle accounting.
+
+    The core owns its L1-D and prefetch buffer; the LLC and the
+    off-chip :class:`BandwidthLedger` are its own too unless a multicore
+    run passes in shared ones.  :meth:`load` specialises the per-access
+    model to one trace and returns its kernel (see :meth:`_kernel`),
+    which :meth:`step`, :meth:`run` and the multicore interleave drive.
+    """
 
     def __init__(self, config: SystemConfig, prefetcher: Prefetcher | None = None,
                  shared_llc: Cache | None = None,
                  shared_ledger: BandwidthLedger | None = None) -> None:
         self.config = config
         self.prefetcher = prefetcher if prefetcher is not None else NullPrefetcher(config)
-        self.hierarchy = MemoryHierarchy(config, shared_llc=shared_llc)
-        self.dram = DramModel(config, ledger=shared_ledger)
+        self.l1 = Cache(config.l1d)
+        self.llc = shared_llc if shared_llc is not None else Cache(config.llc)
+        self.ledger = shared_ledger if shared_ledger is not None else BandwidthLedger(
+            config.cycles_per_block_transfer)
         self.buffer = PrefetchBuffer(config.prefetch_buffer_blocks)
-
+        #: The core's local clock, published by the kernel after each call.
         self.now = 0.0
-        self.inst_index = 0
-        self._last_completion = 0.0
         #: (completion_cycle, instruction_index) of outstanding misses.
         self._outstanding: deque[tuple[float, int]] = deque()
-        self._seen_streams: set[int] = set()
-        self._md_reads = 0
-        self._md_writes = 0
         self.result = TimingResult(workload="", prefetcher=self.prefetcher.name)
-
-    # -- public driving interface (multicore interleaves step calls) -----
-    def load(self, trace: MemoryTrace, warmup: int = 0) -> None:
-        self._pcs, self._blocks, self._deps, self._works = trace.as_lists()
         self._cursor = 0
-        self._warmup_at = warmup
-        self._warm_now = 0.0
-        self._warm_counters: TimingResult | None = None
+        self._n = 0
+        self._advance = self._close = None
+
+    # -- driving interface ---------------------------------------------------
+    def load(self, trace: MemoryTrace, warmup: int = 0) -> Callable[[float], bool]:
+        """Bind ``trace`` to this core and return its kernel (one trace
+        per simulator: the clock and caches start cold).
+
+        ``kernel(limit)`` processes at least one access, keeps going
+        while accesses remain and :attr:`now` stays below ``limit``, and
+        returns whether accesses remain.  The leading ``warmup`` accesses
+        train caches and prefetcher state but are excluded from the
+        result; they must leave at least one access measured
+        (:class:`~repro.errors.SimulationError`).
+        """
+        TraceSimulator._validate_warmup(warmup, len(trace))
         self.result.workload = trace.name
+        self._n = len(trace)
+        self._advance, self._close = self._kernel(trace, warmup)
+        return self._advance
 
     def done(self) -> bool:
-        return self._cursor >= len(self._blocks)
+        return self._cursor >= self._n
 
-    def mark_measurement_start(self) -> None:
-        """Snapshot counters so warm-up is excluded from the result."""
-        import copy
-
-        self._warm_counters = copy.copy(self.result)
-        self._warm_now = self.now
+    def step(self) -> None:
+        """Process exactly one access (plus the work preceding it)."""
+        self._advance(-math.inf)
 
     def finalise(self) -> TimingResult:
         """Close the measurement window (subtracting any warm-up).
@@ -113,172 +130,298 @@ class TimingSimulator:
         Misses still in flight at trace end are part of the measured
         region — the program has not finished until its last fill
         returns — so the clock is first advanced to the latest
-        outstanding completion.  Idempotent: the drain empties the
-        queue, so a second call changes nothing.
+        outstanding completion.  Idempotent: the first call closes the
+        window and releases the kernel, later calls return the result.
         """
-        while self._outstanding:
-            completion, _ = self._outstanding.popleft()
-            if completion > self.now:
-                self.now = completion
-            if completion > self._last_completion:
-                self._last_completion = completion
-        res = self.result
-        if self._warm_counters is not None:
-            warm = self._warm_counters
-            for fname in ("instructions", "misses", "llc_hits",
-                          "memory_accesses", "prefetch_hits",
-                          "late_prefetch_hits", "prefetches_issued",
-                          "prefetches_dropped"):
-                setattr(res, fname, getattr(res, fname) - getattr(warm, fname))
-        res.cycles = self.now - self._warm_now
-        return res
+        if self._close is not None:
+            # The kernel's closures refer back to this core; dropping
+            # them breaks the cycle so the core is freed by refcount.
+            self._close()
+            self._advance = self._close = None
+        return self.result
 
-    def step(self) -> None:
-        """Process one memory access (plus the work preceding it)."""
-        i = self._cursor
-        if i == self._warmup_at and i > 0:
-            self.mark_measurement_start()
-        self._cursor += 1
-        block = self._blocks[i]
-        dep = self._deps[i]
-        work = self._works[i]
-
-        # Non-memory instructions issue at full width.
-        self.now += work / self.config.issue_width
-        self.inst_index += work + 1
-        self.result.instructions += work + 1
-        self._retire(self.inst_index)
-
-        if self.hierarchy.l1.access(block):
-            return  # L1 hit: latency hidden by the pipeline
-
-        entry = self.buffer.lookup(block)
-        if entry is not None:
-            self._prefetch_hit(self._pcs[i], block, dep, entry)
-        else:
-            self._demand_miss(self._pcs[i], block, dep)
-
-    # -- access handling ---------------------------------------------------
-    def _prefetch_hit(self, pc: int, block: int, dep: int, entry) -> None:
-        res = self.result
-        res.prefetch_hits += 1
-        if dep:
-            self.now = max(self.now, self._last_completion)
-        if entry.ready_time > self.now:
-            # Late prefetch: the remaining latency behaves like a
-            # shortened miss — a dependent access stalls for it, an
-            # independent one overlaps it in the ROB window.  The demand
-            # merges with the in-flight prefetch and promotes it to
-            # demand priority, so the wait never exceeds a fresh fetch.
-            completion = min(entry.ready_time,
-                             self.now + self.config.memory_latency_cycles)
-            res.late_prefetch_hits += 1
-            if dep:
-                self.now = completion
-            else:
-                self._outstanding.append((completion, self.inst_index))
-                self._retire(self.inst_index)
-        else:
-            # Timely prefetch hit: the block is in the buffer, so the
-            # access costs an L1-hit latency — dependent accesses stall
-            # for it, independent ones carry it in the ROB window just
-            # like any other completed load.
-            completion = self.now + self.config.l1d.hit_latency
-            if dep:
-                self.now = completion
-            else:
-                self._outstanding.append((completion, self.inst_index))
-                self._retire(self.inst_index)
-        self._last_completion = completion
-        self.hierarchy.fill_l1(block)
-        candidates = self.prefetcher.on_prefetch_hit(pc, block, entry.stream_id)
-        self._after_event(candidates)
-
-    def _demand_miss(self, pc: int, block: int, dep: int) -> None:
-        res = self.result
-        res.misses += 1
-        if dep:
-            self.now = max(self.now, self._last_completion)
-        if self.hierarchy.llc.access(block):
-            res.llc_hits += 1
-            completion = self.now + self.config.llc_latency_cycles
-        else:
-            res.memory_accesses += 1
-            completion = self.dram.access(self.now, "demand")
-        if dep:
-            # Pointer chase: the core cannot proceed without the data.
-            self.now = completion
-        else:
-            self._outstanding.append((completion, self.inst_index))
-            self._retire(self.inst_index)
-        self._last_completion = completion
-        candidates = self.prefetcher.on_miss(pc, block)
-        self._after_event(candidates)
-
-    def _retire(self, inst_index: int) -> None:
-        """Stall when the ROB window or MSHR file is exhausted."""
-        rob = self.config.rob_entries
-        mshrs = self.config.l1_mshrs
-        outstanding = self._outstanding
-        while outstanding:
-            completion, issued_at = outstanding[0]
-            if completion <= self.now:
-                outstanding.popleft()
-                continue
-            if inst_index - issued_at >= rob or len(outstanding) > mshrs:
-                self.now = completion
-                outstanding.popleft()
-                continue
-            break
-
-    # -- prefetch issue ---------------------------------------------------
-    def _after_event(self, candidates) -> None:
-        # Charge new metadata transfers against the shared channel.
-        metadata = self.prefetcher.metadata
-        for _ in range(metadata.reads - self._md_reads):
-            self.dram.access(self.now, "metadata_read")
-        for _ in range(metadata.writes - self._md_writes):
-            self.dram.access(self.now, "metadata_write")
-        self._md_reads = metadata.reads
-        self._md_writes = metadata.writes
-
-        for sid in self.prefetcher.take_killed_streams():
-            self.buffer.invalidate_stream(sid)
-
-        round_trip = self.config.memory_latency_cycles
-        drop_backlog = (self.config.prefetch_drop_backlog_blocks
-                        * self.config.cycles_per_block_transfer)
-        for block, sid in candidates:
-            if self.buffer.probe(block) or self.hierarchy.l1.probe(block):
-                continue
-            if self.dram.ledger.backlog(self.now) > drop_backlog:
-                # Channel saturated: shed the prefetch rather than queue
-                # it behind an unbounded backlog.
-                self.result.prefetches_dropped += 1
-                continue
-            if sid not in self._seen_streams:
-                self._seen_streams.add(sid)
-                metadata_delay = self.prefetcher.first_prefetch_round_trips * round_trip
-            else:
-                metadata_delay = 0.0
-            # The serialised metadata round trips delay the block's
-            # arrival; the channel occupancy itself is charged at issue
-            # time so the single-server queue sees arrivals in order.
-            if self.hierarchy.probe_prefetch_target(block) is AccessOutcome.LLC_HIT:
-                ready = self.now + metadata_delay + self.config.llc_latency_cycles
-            else:
-                ready = self.dram.access(self.now, "prefetch_useful") + metadata_delay
-            self.result.prefetches_issued += 1
-            victim = self.buffer.insert(block, sid, ready_time=ready)
-            if victim is not None:
-                self.prefetcher.on_buffer_eviction(
-                    victim.block, victim.stream_id, victim.used)
-
-    # -- one-shot convenience -----------------------------------------------
     def run(self, trace: MemoryTrace, warmup_frac: float = 0.0) -> TimingResult:
         """Replay the whole trace; optionally exclude a leading warm-up
         fraction from the reported instruction/cycle counts."""
-        self.load(trace, warmup=int(len(trace) * warmup_frac))
-        while not self.done():
-            self.step()
-        return self.finalise()
+        advance = self.load(trace, warmup=int(len(trace) * warmup_frac))
+        with trace_span(obs_names.SPAN_TIMING, workload=trace.name,
+                        prefetcher=self.prefetcher.name, cores=1,
+                        steps=len(trace)):
+            if len(trace):
+                advance(math.inf)
+            return self.finalise()
+
+    # -- the kernel ----------------------------------------------------------
+    def _kernel(self, trace: MemoryTrace, warmup: int
+                ) -> tuple[Callable[[float], bool], Callable[[], None]]:
+        """Specialise the per-access model to this core and ``trace``.
+
+        Returns ``(advance, close)``, closures over the core's state.
+        Every config-derived constant is hoisted here, and the L1/LLC
+        set lookups, the shared-ledger requests, the prefetch-buffer
+        lookup and insert and the ROB/MSHR retire loop are inlined on
+        the structures' own dicts.  The state lives in the closure, so a
+        call costs nothing to enter: the multicore interleave calls it
+        for every burst of a core's accesses, and a burst averages about
+        two.  The arithmetic, including its floating-point order, is
+        that of the step-at-a-time reference model kept in
+        ``tests/sim/reference_timing.py``, which a differential test
+        holds this kernel to.
+
+        Cache and buffer statistics are tallied in the closure and
+        folded into their ``stats`` objects by ``close()``, which
+        :meth:`finalise` calls once.
+        """
+        pcs, blocks, deps, works = trace.as_lists()
+        n = len(blocks)
+        warmup_at = warmup if warmup > 0 else -1
+
+        config = self.config
+        width = config.issue_width
+        rob = config.rob_entries
+        mshrs = config.l1_mshrs
+        l1_latency = config.l1d.hit_latency
+        llc_latency = config.llc_latency_cycles
+        memory_latency = config.memory_latency_cycles
+        # backlog(now) > drop reads max(0, free - now) > drop, which is
+        # free - now > drop because SystemConfig keeps drop >= 0.
+        drop_backlog = (config.prefetch_drop_backlog_blocks
+                        * config.cycles_per_block_transfer)
+
+        prefetcher = self.prefetcher
+        on_miss = prefetcher.on_miss
+        on_prefetch_hit = prefetcher.on_prefetch_hit
+        on_eviction = prefetcher.on_buffer_eviction
+        take_killed = prefetcher.take_killed_streams
+        metadata = prefetcher.metadata
+        first_delay = prefetcher.first_prefetch_round_trips * memory_latency
+
+        # Set index is ``block % n_sets``: for a power-of-two set count
+        # that equals Cache's ``block & mask`` on every Python int.
+        l1_sets, l1_n, l1_ways = self.l1._sets, self.l1.n_sets, self.l1.ways
+        llc = self.llc
+        llc_sets, llc_n, llc_ways = llc._sets, llc.n_sets, llc.ways
+        ledger = self.ledger
+        cpb = ledger.cycles_per_block
+        buffer = self.buffer
+        entries, capacity = buffer._entries, buffer.capacity
+        invalidate_stream = buffer.invalidate_stream
+        outstanding = self._outstanding
+        popleft = outstanding.popleft
+        append = outstanding.append
+        seen_streams: set[int] = set()
+        sim = self
+
+        now = 0.0
+        last_completion = 0.0
+        cursor = 0
+        md_reads = md_writes = 0
+        # TimingResult counters over the whole trace (the instruction
+        # count doubles as the ROB index); close() subtracts the
+        # snapshot taken at the warm-up boundary.
+        inst = misses = llc_hits = memory_accesses = 0
+        prefetch_hits = late_hits = issued = dropped = 0
+        warm = (0, 0, 0, 0, 0, 0, 0, 0, 0.0)
+        # Cache/buffer tallies that the counters above do not imply.
+        l1_hits = l1_evictions = llc_prefetch_hits = llc_evictions = 0
+        buffer_evictions = 0
+
+        def advance(limit: float) -> bool:
+            nonlocal now, last_completion, cursor, md_reads, md_writes
+            nonlocal inst, misses, llc_hits, memory_accesses
+            nonlocal prefetch_hits, late_hits, issued, dropped, warm
+            nonlocal l1_hits, l1_evictions, llc_prefetch_hits, llc_evictions
+            nonlocal buffer_evictions
+            while True:
+                i = cursor
+                cursor = i + 1
+                if i == warmup_at:
+                    warm = (inst, misses, llc_hits, memory_accesses,
+                            prefetch_hits, late_hits, issued, dropped, now)
+                block = blocks[i]
+                work = works[i]
+
+                # Non-memory instructions issue at full width.
+                now += work / width
+                inst += work + 1
+                # Retire: stall while the ROB window or MSHR file is full.
+                while outstanding:
+                    finish, issued_at = outstanding[0]
+                    if finish <= now:
+                        popleft()
+                    elif inst - issued_at >= rob or len(outstanding) > mshrs:
+                        now = finish
+                        popleft()
+                    else:
+                        break
+
+                line_set = l1_sets[block % l1_n]
+                if block in line_set:
+                    # L1 hit: latency hidden by the pipeline.
+                    line_set.move_to_end(block)
+                    l1_hits += 1
+                else:
+                    # The allocating miss leaves the block MRU in the L1,
+                    # which is all a prefetch-buffer hit would fill.
+                    if len(line_set) >= l1_ways:
+                        line_set.popitem(last=False)
+                        l1_evictions += 1
+                    line_set[block] = None
+                    dep = deps[i]
+                    if dep and last_completion > now:
+                        now = last_completion
+                    entry = entries.pop(block, None)
+                    if entry is None:
+                        misses += 1
+                        line_set = llc_sets[block % llc_n]
+                        if block in line_set:
+                            line_set.move_to_end(block)
+                            llc_hits += 1
+                            completion = now + llc_latency
+                        else:
+                            if len(line_set) >= llc_ways:
+                                line_set.popitem(last=False)
+                                llc_evictions += 1
+                            line_set[block] = None
+                            memory_accesses += 1
+                            # Demand lane of the shared channel.
+                            free = ledger.demand_free
+                            start = free if free > now else now
+                            free = start + cpb
+                            ledger.demand_free = free
+                            if ledger.channel_free < free:
+                                ledger.channel_free = free
+                            ledger.transfers += 1
+                            ledger.busy_cycles += cpb
+                            # now + queue delay + latency, in that order:
+                            # start + latency can round differently.
+                            completion = now + (start - now) + memory_latency
+                    else:
+                        prefetch_hits += 1
+                        ready = entry.ready_time
+                        if ready > now:
+                            # Late prefetch: the demand merges with the
+                            # in-flight fill and never waits longer than
+                            # a fresh fetch.
+                            completion = now + memory_latency
+                            if completion >= ready:
+                                completion = ready
+                            late_hits += 1
+                        else:
+                            completion = now + l1_latency
+                    if dep:
+                        # Pointer chase: the core cannot proceed without
+                        # the data.
+                        now = completion
+                    else:
+                        append((completion, inst))
+                        # Retire again: this miss may fill the MSHR file.
+                        while outstanding:
+                            finish, issued_at = outstanding[0]
+                            if finish <= now:
+                                popleft()
+                            elif inst - issued_at >= rob or len(outstanding) > mshrs:
+                                now = finish
+                                popleft()
+                            else:
+                                break
+                    last_completion = completion
+                    if entry is None:
+                        candidates = on_miss(pcs[i], block)
+                    else:
+                        candidates = on_prefetch_hit(pcs[i], block, entry.stream_id)
+
+                    # Charge new metadata transfers as prefetch-class
+                    # requests on the shared channel.
+                    reads = metadata.reads
+                    writes = metadata.writes
+                    if reads != md_reads or writes != md_writes:
+                        for _ in range(max(reads - md_reads, 0)
+                                       + max(writes - md_writes, 0)):
+                            free = ledger.channel_free
+                            ledger.channel_free = (free if free > now else now) + cpb
+                            ledger.transfers += 1
+                            ledger.busy_cycles += cpb
+                        md_reads = reads
+                        md_writes = writes
+                    for sid in take_killed():
+                        invalidate_stream(sid)
+
+                    for cand, sid in candidates:
+                        if cand in entries or cand in l1_sets[cand % l1_n]:
+                            continue
+                        if ledger.channel_free - now > drop_backlog:
+                            # Channel saturated: shed the prefetch rather
+                            # than queue it behind an unbounded backlog.
+                            dropped += 1
+                            continue
+                        if sid in seen_streams:
+                            metadata_delay = 0.0
+                        else:
+                            seen_streams.add(sid)
+                            metadata_delay = first_delay
+                        # The serialised metadata round trips delay the
+                        # block's arrival; the channel occupancy is
+                        # charged at issue time so the queue sees
+                        # arrivals in order.
+                        line_set = llc_sets[cand % llc_n]
+                        if cand in line_set:
+                            # LRU touch only: a prefetched block goes to
+                            # the buffer and is never installed in the LLC.
+                            line_set.move_to_end(cand)
+                            llc_prefetch_hits += 1
+                            ready = now + metadata_delay + llc_latency
+                        else:
+                            free = ledger.channel_free
+                            start = free if free > now else now
+                            ledger.channel_free = start + cpb
+                            ledger.transfers += 1
+                            ledger.busy_cycles += cpb
+                            ready = now + (start - now) + memory_latency + metadata_delay
+                        issued += 1
+                        if len(entries) >= capacity:
+                            _, victim = entries.popitem(last=False)
+                            entries[cand] = BufferEntry(cand, sid, ready)
+                            buffer_evictions += 1
+                            # Demand hits pop their entry, so a resident
+                            # entry is never a used one.
+                            on_eviction(victim.block, victim.stream_id, False)
+                        else:
+                            entries[cand] = BufferEntry(cand, sid, ready)
+
+                if cursor == n or now >= limit:
+                    sim.now = now
+                    sim._cursor = cursor
+                    return cursor < n
+
+        def close() -> None:
+            nonlocal now
+            while outstanding:
+                completion, _ = popleft()
+                if completion > now:
+                    now = completion
+            sim.now = now
+            totals = (inst, misses, llc_hits, memory_accesses,
+                      prefetch_hits, late_hits, issued, dropped)
+            *warm_totals, warm_now = warm
+            res = sim.result
+            (res.instructions, res.misses, res.llc_hits, res.memory_accesses,
+             res.prefetch_hits, res.late_prefetch_hits, res.prefetches_issued,
+             res.prefetches_dropped) = (t - w for t, w in zip(totals, warm_totals))
+            res.cycles = now - warm_now
+            l1_misses = cursor - l1_hits
+            _fold(sim.l1.stats, accesses=cursor, hits=l1_hits,
+                  misses=l1_misses, fills=l1_misses, evictions=l1_evictions)
+            _fold(llc.stats, accesses=misses + llc_prefetch_hits,
+                  hits=llc_hits + llc_prefetch_hits, misses=memory_accesses,
+                  fills=memory_accesses, evictions=llc_evictions)
+            _fold(buffer.stats, inserted=issued, hits=prefetch_hits,
+                  evicted_unused=buffer_evictions)
+
+        return advance, close
+
+
+def _fold(stats: object, **tallies: int) -> None:
+    """Add the kernel's tallies to a stats dataclass."""
+    for name, value in tallies.items():
+        setattr(stats, name, getattr(stats, name) + value)

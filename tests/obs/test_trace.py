@@ -269,6 +269,28 @@ class TestConverters:
         assert "    sim.simulate" in text
         assert render_span_tree([]) == "no spans in trace"
 
+    def test_multicore_cell_tree_shows_timing_under_cell(self, telemetry,
+                                                         tiny_options):
+        from repro.runner import Cell, ExecutionPolicy, run_cells
+
+        cell = Cell(kind="multicore", workload="oltp", prefetcher="baseline",
+                    config_name="timing")
+        _, manifest = run_cells([cell], tiny_options,
+                                ExecutionPolicy(jobs=1, use_cache=False))
+        assert manifest.failed == 0
+        forest = telemetry.spans.spans()
+        assert validate_forest(forest) == []
+        by_id = {r["span"]: r for r in forest}
+        (timing,) = [r for r in forest if r["name"] == names.SPAN_TIMING]
+        assert by_id[timing["parent"]]["name"] == names.SPAN_CELL
+        assert timing["attrs"] == {"workload": "oltp", "prefetcher": "baseline",
+                                   "cores": 4, "steps": 4 * 20_000}
+        lines = render_span_tree(forest).splitlines()
+        cell_line = next(i for i, line in enumerate(lines)
+                         if line.lstrip().startswith(names.SPAN_CELL))
+        indent = len(lines[cell_line]) - len(lines[cell_line].lstrip())
+        assert lines[cell_line + 1].startswith(" " * (indent + 2) + names.SPAN_TIMING)
+
     def test_read_spans_filters_trace_events(self):
         events = [{"component": "sim", "event": "access"}, *self.FOREST]
         assert read_spans(events) == self.FOREST

@@ -102,7 +102,14 @@ class TestMisbehavingTenantContainment:
                 await asyncio.gather(*evil, return_exceptions=True)
                 async with await ServeClient.connect(
                         server.address, "probe") as probe:
-                    stats = await probe.status()
+                    # Evil's abandoned jobs can still be queued or
+                    # running when good's last job returns; read the
+                    # totals once the server has gone idle.
+                    for _ in range(600):
+                        stats = await probe.status()
+                        if stats["queue_depth"] == 0 and stats["in_flight"] == 0:
+                            break
+                        await asyncio.sleep(0.05)
                 return results, stats
 
         results, stats = asyncio.run(scenario())

@@ -1,10 +1,15 @@
 """Cycle-accounting timing model tests."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.config import small_test_config
+from repro.errors import SimulationError
 from repro.prefetchers.base import NullPrefetcher, Prefetcher
 from repro.prefetchers.nextline import NextLinePrefetcher
+from repro.sim.multicore import simulate_multicore
 from repro.sim.timing import TimingSimulator
 
 
@@ -146,6 +151,22 @@ class TestOutstandingDrain:
         assert not sim._outstanding
 
 
+class TestKernelLifetime:
+    def test_finalised_core_freed_by_refcount(self, config, tiny_trace):
+        # The kernel's closures refer back to their core; finalise()
+        # must drop them, or every finished core (caches, trace lists,
+        # prefetcher tables) waits for the cycle collector.
+        gc.disable()
+        try:
+            sim = TimingSimulator(config, NextLinePrefetcher(config))
+            sim.run(tiny_trace)
+            alive = weakref.ref(sim)
+            del sim
+            assert alive() is None
+        finally:
+            gc.enable()
+
+
 class TestTimelyIndependentPrefetchHit:
     """A timely prefetch hit costs the L1 hit latency on every path."""
 
@@ -183,3 +204,19 @@ class TestWarmupWindow:
     def test_ipc_positive(self, config, tiny_trace):
         result = TimingSimulator(config, NullPrefetcher(config)).run(tiny_trace)
         assert result.ipc > 0
+
+    @pytest.mark.parametrize("warmup_frac", [1.0, 1.5, -0.5])
+    def test_warmup_leaving_no_window_rejected(self, config, tiny_trace,
+                                               warmup_frac):
+        # A warm-up covering the whole trace used to report the whole
+        # trace: the snapshot at the warm-up boundary never fired.
+        with pytest.raises(SimulationError):
+            TimingSimulator(config).run(tiny_trace, warmup_frac=warmup_frac)
+        with pytest.raises(SimulationError):
+            simulate_multicore(tiny_trace, config, "baseline",
+                               warmup_frac=warmup_frac)
+
+    def test_warmup_at_last_access_measures_one(self, config, trace_factory):
+        trace = trace_factory([1, 2, 3, 4], works=[9, 9, 9, 5])
+        result = TimingSimulator(config).run(trace, warmup_frac=0.75)
+        assert result.instructions == 6

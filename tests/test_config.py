@@ -55,6 +55,23 @@ class TestValidation:
         with pytest.raises(ConfigError):
             SystemConfig(**kwargs)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"issue_width": 0},
+        {"issue_width": -4},
+        {"rob_entries": 0},
+        {"l1_mshrs": 0},
+        {"clock_ghz": 0.0},
+        {"clock_ghz": -4.0},
+        {"prefetch_drop_backlog_blocks": -1},
+    ])
+    def test_core_parameters_the_timing_model_cannot_run_rejected(self, kwargs):
+        # issue_width=0 used to construct and then divide by zero
+        # mid-simulation; the timing kernel's drop test also relies on
+        # a non-negative backlog bound.
+        with pytest.raises(ConfigError):
+            SystemConfig(**kwargs)
+        assert SystemConfig(prefetch_drop_backlog_blocks=0)
+
     def test_scaled_copy(self):
         config = SystemConfig().scaled(prefetch_degree=1)
         assert config.prefetch_degree == 1

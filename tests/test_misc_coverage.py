@@ -3,7 +3,6 @@
 import pytest
 
 from repro.memory.cache import CacheStats
-from repro.memory.hierarchy import HierarchyStats
 from repro.sim.multicore import MulticoreResult
 from repro.sim.timing import TimingResult
 
@@ -26,12 +25,6 @@ class TestCacheStats:
         stats = CacheStats(accesses=10, hits=7, misses=3)
         assert stats.hit_rate == pytest.approx(0.7)
         assert stats.miss_rate == pytest.approx(0.3)
-
-
-class TestHierarchyStats:
-    def test_accesses_totalises(self):
-        stats = HierarchyStats(l1_hits=5, llc_hits=3, memory_accesses=2)
-        assert stats.accesses == 10
 
 
 class TestTimingResult:
