@@ -1,30 +1,29 @@
 #!/usr/bin/env python
-"""Fastpath wall-clock harness: fig11-style grid plus hot-path probes.
+"""Fastpath wall-clock harness: filter build and fig11-style grid probes.
 
-Three measurement groups, all sharing one JSON report
-(``BENCH_PR10.json``) and one exit status CI can gate on:
+Two measurement groups, sharing one JSON report (``BENCH_PR10.json``)
+and one exit status CI can gate on:
 
-* **grid** — one fig11-style sweep (workloads × paper prefetchers
-  trace cells, plus one opportunity cell per workload) run twice under
-  identical cold cell caches: ``DOMINO_FASTPATH=0`` (regenerate the
-  trace, replay every access) vs. fastpath enabled against a store
-  prewarmed with the grid's L1 filter artifacts.  The two passes must
-  produce identical payload lists; the wall-clock ratio is gated by
-  ``--min-speedup``.
 * **hot_path** — the filter build: the vectorised kernel
   (:func:`~repro.sim.fastpath.build_l1_filter`) against its scalar
   reference (:func:`~repro.sim.fastpath.build_l1_filter_scalar`).  The
   two filters must be equal, and the scalar/vectorised wall ratio is
   gated by ``--min-hotpath-speedup``.
-* **shm** — the grid pooled (traces handed to workers through shared
-  memory) vs. serial: identical payloads, and zero leaked ``/dev/shm``
-  segments from this process afterwards.
+* **shm** — one fig11-style grid (workloads × paper prefetchers trace
+  cells, plus one opportunity cell per workload) pooled (traces handed
+  to workers through shared memory) vs. serial: identical payloads, and
+  zero leaked ``/dev/shm`` segments from this process afterwards.
 
 A final probe attaches an uncancelled
 :class:`~repro.cancel.CancelToken` to a serial, cache-free pass and
 gates its checkpoint overhead (default <= 2%) and payload equivalence,
 so lifecycle instrumentation can never quietly tax or perturb the
-engine loop.
+engine's replay loop.
+
+The filter replay is the engine's only loop, so there is no
+unfiltered pass to time the grid against; its bit-identity to the
+per-access reference is pinned by ``tests/sim/test_engine_reference.py``
+and the experiment digests.
 
 Usage::
 
@@ -38,7 +37,6 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 import time
 from pathlib import Path
 
@@ -65,43 +63,6 @@ def _reset_process_caches() -> None:
     execute_mod._FILTERS.clear()
     execute_mod.set_fastpath_root(None)
     execute_mod.set_trace_share(None)
-
-
-def _prewarm_filters(options: ExperimentOptions, root: Path) -> float:
-    """Build and persist the grid's L1 filter artifacts into ``root``.
-
-    One full-trace filter per workload (trace cells) plus one
-    measured-window filter per workload (opportunity cells) — exactly
-    what the first fastpath-enabled grid over these options would have
-    written.  Returns the wall-clock spent prewarming (reported, not
-    counted into either pass).
-    """
-    config = SystemConfig()  # fig11 cells run the default config
-    warmup = int(options.n_accesses * options.warmup_frac)
-    started = time.perf_counter()
-    execute_mod.set_fastpath_root(str(root))
-    try:
-        for workload in options.workloads:
-            execute_mod._l1_filter(workload, options, config)
-            execute_mod._l1_filter(workload, options, config,
-                                   window=(warmup, options.n_accesses))
-    finally:
-        execute_mod.set_fastpath_root(None)
-    return time.perf_counter() - started
-
-
-def _run_pass(cells, options: ExperimentOptions, cache_dir: Path,
-              jobs: int, fastpath_on: bool) -> tuple[float, list]:
-    os.environ["DOMINO_FASTPATH"] = "1" if fastpath_on else "0"
-    _reset_process_caches()
-    policy = ExecutionPolicy(jobs=jobs, use_cache=True, cache_dir=cache_dir)
-    started = time.perf_counter()
-    payloads, manifest = run_cells(cells, options, policy)
-    wall = time.perf_counter() - started
-    if manifest.failed:
-        raise RuntimeError(f"{manifest.failed} cell(s) failed; "
-                           "benchmark numbers would be meaningless")
-    return wall, payloads
 
 
 def _best_of(repeats: int, fn) -> float:
@@ -144,7 +105,6 @@ def _measure_shm(cells, options: ExperimentOptions, jobs: int) -> dict:
     """Pooled grid (shared-memory trace handoff) vs. serial."""
     prefix = f"{shm.SEGMENT_PREFIX}{os.getpid()}x"
     walls, payloads = {}, {}
-    os.environ["DOMINO_FASTPATH"] = "1"
     for label, width in (("serial", 1), ("pooled", jobs)):
         _reset_process_caches()
         started = time.perf_counter()
@@ -165,14 +125,14 @@ def _measure_shm(cells, options: ExperimentOptions, jobs: int) -> dict:
 
 def _measure_cancel_overhead(options: ExperimentOptions,
                              repeats: int = 2) -> dict:
-    """Wall-clock cost of cancellation checkpoints in the engine loop.
+    """Wall-clock cost of cancellation checkpoints in the replay loop.
 
     Cancel tokens are only consulted on the serial path (the pool
     polls the token between results instead of shipping it), so the
-    probe is a serial, cache-free full simulation of one workload's
-    trace cells — the densest checkpoint exposure the runner has.
-    Each variant runs ``repeats`` times and keeps its best wall so a
-    single scheduler hiccup cannot fake a regression.
+    probe is a serial, cache-free pass over one workload's trace cells:
+    one filter build, then one replay per cell, each metering every
+    access of the trace.  Each variant runs ``repeats`` times and keeps
+    its best wall so a single scheduler hiccup cannot fake a regression.
     """
     probe = ExperimentOptions(
         n_accesses=options.n_accesses, seed=options.seed,
@@ -183,7 +143,6 @@ def _measure_cancel_overhead(options: ExperimentOptions,
     def best_of(make_token):
         wall, payloads, token = float("inf"), None, None
         for _ in range(repeats):
-            os.environ["DOMINO_FASTPATH"] = "0"
             _reset_process_caches()
             token = make_token()
             started = time.perf_counter()
@@ -195,7 +154,6 @@ def _measure_cancel_overhead(options: ExperimentOptions,
 
     plain_s, plain_payloads, _ = best_of(lambda: None)
     metered_s, metered_payloads, token = best_of(CancelToken)
-    os.environ["DOMINO_FASTPATH"] = "1"
     expected = len(cells) * probe.n_accesses
     if token.progress != expected:
         raise RuntimeError(
@@ -225,18 +183,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=1234)
     parser.add_argument("--out", default="BENCH_PR10.json",
                         help="JSON report path")
-    parser.add_argument("--min-speedup", type=float, default=2.0,
-                        help="fail below this off/on grid wall ratio")
     parser.add_argument("--min-hotpath-speedup", type=float, default=2.0,
                         help="fail below this scalar/vectorised filter "
                              "build ratio")
     parser.add_argument("--max-cancel-overhead", type=float, default=2.0,
                         help="fail if an uncancelled token slows the "
-                             "serial engine loop by more than this "
+                             "serial replay loop by more than this "
                              "percentage")
-    parser.add_argument("--cache-dir", default=None,
-                        help="scratch root for the passes "
-                             "(default: a fresh temp dir)")
     args = parser.parse_args(argv)
 
     options = ExperimentOptions(
@@ -244,26 +197,9 @@ def main(argv: list[str] | None = None) -> int:
         workloads=tuple(w.strip() for w in args.workloads.split(",")
                         if w.strip()))
     cells = build_cells(options, args.degree)
-
-    scratch = Path(args.cache_dir) if args.cache_dir else Path(
-        tempfile.mkdtemp(prefix="bench-fastpath-"))
-    scratch.mkdir(parents=True, exist_ok=True)
-    off_root = scratch / "off-store"
-    on_root = scratch / "on-store"
-
     print(f"grid: {len(cells)} cells "
           f"({len(options.workloads)} workloads, degree {args.degree}, "
           f"n={args.n:,}, jobs={args.jobs})")
-    prewarm_s = _prewarm_filters(options, on_root)
-    print(f"prewarmed {2 * len(options.workloads)} filter artifacts "
-          f"in {prewarm_s:.2f}s -> {on_root}")
-
-    off_wall, off_payloads = _run_pass(cells, options, off_root,
-                                       args.jobs, fastpath_on=False)
-    print(f"fastpath off: {off_wall:.2f}s")
-    on_wall, on_payloads = _run_pass(cells, options, on_root,
-                                     args.jobs, fastpath_on=True)
-    print(f"fastpath on:  {on_wall:.2f}s (warm filter store)")
 
     hot_path = _measure_hot_path(options)
     print(f"hot path: scalar build {hot_path['build_scalar_s']:.3f}s, "
@@ -281,14 +217,11 @@ def main(argv: list[str] | None = None) -> int:
           f"metered {cancel['metered_s']:.2f}s "
           f"({cancel['overhead_pct']:+.2f}%)")
 
-    equivalent = off_payloads == on_payloads
-    speedup = off_wall / on_wall if on_wall else float("inf")
     cancel_ok = (cancel["equivalent"]
                  and cancel["overhead_pct"] <= args.max_cancel_overhead)
     hotpath_ok = (hot_path["builds_equal"]
                   and hot_path["speedup"] >= args.min_hotpath_speedup)
-    ok = (equivalent and speedup >= args.min_speedup and hotpath_ok
-          and shm_report["equivalent"]
+    ok = (hotpath_ok and shm_report["equivalent"]
           and shm_report["leak_free"] and cancel_ok)
 
     report = {
@@ -299,12 +232,6 @@ def main(argv: list[str] | None = None) -> int:
         "seed": args.seed,
         "jobs": args.jobs,
         "cells": len(cells),
-        "prewarm_s": round(prewarm_s, 4),
-        "off_wall_s": round(off_wall, 4),
-        "on_wall_s": round(on_wall, 4),
-        "speedup": round(speedup, 4),
-        "min_speedup": args.min_speedup,
-        "equivalent": equivalent,
         "hot_path": hot_path,
         "min_hotpath_speedup": args.min_hotpath_speedup,
         "shm": shm_report,
@@ -314,14 +241,9 @@ def main(argv: list[str] | None = None) -> int:
     }
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n",
                               encoding="utf-8")
-    print(f"speedup: {speedup:.2f}x (min {args.min_speedup:g}x), "
-          f"hot path {hot_path['speedup']:.2f}x "
-          f"(min {args.min_hotpath_speedup:g}x), "
-          f"equivalent: {equivalent} -> {args.out}")
-    if not equivalent:
-        print("FAIL: fastpath-on payloads differ from fastpath-off",
-              file=sys.stderr)
-    elif not hot_path["builds_equal"]:
+    print(f"hot path {hot_path['speedup']:.2f}x "
+          f"(min {args.min_hotpath_speedup:g}x) -> {args.out}")
+    if not hot_path["builds_equal"]:
         print("FAIL: vectorised filter differs from scalar reference",
               file=sys.stderr)
     elif hot_path["speedup"] < args.min_hotpath_speedup:
@@ -339,9 +261,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"FAIL: cancel-checkpoint overhead "
               f"{cancel['overhead_pct']:.2f}% above "
               f"{args.max_cancel_overhead:g}%", file=sys.stderr)
-    elif not ok:
-        print(f"FAIL: speedup {speedup:.2f}x below "
-              f"{args.min_speedup:g}x", file=sys.stderr)
     return 0 if ok else 1
 
 

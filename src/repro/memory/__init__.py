@@ -16,19 +16,14 @@ from .cache import Cache, CacheStats
 from .dram import BandwidthLedger
 from .metadata import MetadataTraffic
 from .prefetch_buffer import PrefetchBuffer
-from .replacement import LruPolicy, FifoPolicy, RandomPolicy, make_policy
 
 __all__ = [
     "BandwidthLedger",
     "Cache",
     "CacheStats",
-    "FifoPolicy",
-    "LruPolicy",
     "MetadataTraffic",
     "PrefetchBuffer",
-    "RandomPolicy",
     "block_of",
-    "make_policy",
     "page_of",
     "page_offset_of",
 ]

@@ -29,7 +29,7 @@ from ..prefetchers.multi_lookup import LookupDepthAnalyzer
 from ..prefetchers.registry import make_prefetcher
 from ..sequitur.analysis import analyze_sequence
 from ..sim import fastpath
-from ..sim.engine import TraceSimulator, collect_miss_stream, simulate_trace
+from ..sim.engine import SimulationResult, TraceSimulator
 from ..sim.multicore import simulate_multicore
 from ..sim.timing import TimingSimulator
 from ..sim.trace import MemoryTrace
@@ -159,13 +159,13 @@ def _execute_trace(cell: Cell, options: Any) -> dict[str, Any]:
     config = cell_config(cell)
     prefetcher = _cell_prefetcher(cell, config, options)
     warmup, _ = measured_window(options)
-    if fastpath.enabled():
-        filt = _l1_filter(cell.workload, options, config)
-        sim = TraceSimulator(config, prefetcher)
-        result = sim.run_filtered(filt, warmup=warmup)
-    else:
-        trace = _trace(cell.workload, options)
-        result = simulate_trace(trace, config, prefetcher, warmup=warmup)
+    filt = _l1_filter(cell.workload, options, config)
+    return _trace_payload(
+        TraceSimulator(config, prefetcher).run_filtered(filt, warmup=warmup))
+
+
+def _trace_payload(result: SimulationResult) -> dict[str, Any]:
+    """The stored payload of a ``trace`` cell."""
     metrics = result.metrics
     return {
         "coverage": result.coverage,
@@ -188,16 +188,13 @@ def _baseline_miss_blocks(cell: Cell, options: Any) -> list[int]:
     """Blocks of the baseline (no-prefetcher) L1-D miss stream over the
     measured window — the input of every :data:`MISS_STREAM_KINDS` cell."""
     config = cell_config(cell)
-    window = measured_window(options)
-    if fastpath.enabled():
-        # With a NullPrefetcher the buffer never fills, so the baseline
-        # miss stream over the measured window *is* the window's L1
-        # filter — no engine run needed.
-        filt = _l1_filter(cell.workload, options, config, window=window)
-        blocks: list[int] = filt.blocks.tolist()
-        return blocks
-    trace = _trace(cell.workload, options).slice(*window)
-    return [block for _, block in collect_miss_stream(trace, config)]
+    # With a NullPrefetcher the buffer never fills, so the baseline
+    # miss stream over the measured window *is* the window's L1
+    # filter — no engine run needed.
+    filt = _l1_filter(cell.workload, options, config,
+                      window=measured_window(options))
+    blocks: list[int] = filt.blocks.tolist()
+    return blocks
 
 
 def _execute_opportunity(cell: Cell, options: Any) -> dict[str, Any]:

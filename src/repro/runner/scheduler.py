@@ -48,7 +48,6 @@ from ..obs.trace import current_span, span
 from ..errors import (CellFailedError, CheckpointError, JobCancelled,
                       RunnerTimeoutError)
 from ..faults import FaultPlan, corrupt_artifact
-from ..sim import fastpath
 from ..workloads.suite import WorkloadSuite
 from . import shm
 from .cells import (MISS_STREAM_KINDS, Cell, cell_config, cell_key,
@@ -356,19 +355,17 @@ def _trace_share_plan(pending: list[tuple[int, str, Cell]], options: Any,
     """Spec key -> workload for traces some pool worker will generate.
 
     Timing cells always read the trace.  Filter-reading cells need it
-    unless the fastpath will serve the cell from an already-stored
-    filter — probed via :func:`l1_filter_key`, which is computable
-    without the trace bytes.  A filter that is *not* stored
-    yet means the first worker to claim the cell builds it from the
+    unless an already-stored filter will serve the cell — probed via
+    :func:`l1_filter_key`, which is computable without the trace
+    bytes.  A filter that is *not* stored yet means the first worker to claim the cell builds it from the
     trace (and concurrent workers on sibling cells race to do the
     same), so the trace still has to travel.
     """
     needed: dict[str, str] = {}
-    fastpath_on = fastpath.enabled()
     for _, _, cell in pending:
         if cell.kind not in ("trace", "timing") + MISS_STREAM_KINDS:
             continue
-        if fastpath_on and store is not None and cell.kind != "timing":
+        if store is not None and cell.kind != "timing":
             window = (measured_window(options)
                       if cell.kind in MISS_STREAM_KINDS else None)
             fkey = l1_filter_key(cell.workload, options, cell_config(cell),

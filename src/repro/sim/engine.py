@@ -14,9 +14,12 @@ prefetchers are trained on the L1-D miss sequence and prefetch into a
 4. routes buffer evictions and stream discards back to the prefetcher
    (stream-end detection / replacement semantics).
 
-Outputs are :class:`SimulationResult` objects carrying the coverage
-metrics, the metadata traffic, per-stream useful-run lengths, and the
-raw miss sequence when requested (for Sequitur analysis).
+Prefetches never fill the L1, so step 1 is prefetcher-independent: the
+engine takes it from the trace's :class:`~repro.sim.fastpath.L1Filter`
+and its one loop (:meth:`TraceSimulator.run_filtered`) visits only the
+L1 misses.  Outputs are :class:`SimulationResult` objects carrying the
+coverage metrics, the metadata traffic and per-stream useful-run
+lengths.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from typing import TYPE_CHECKING
 from ..cancel import NEVER, current_token
 from ..config import SystemConfig
 from ..errors import SimulationError
-from ..memory.cache import Cache
 from ..memory.metadata import MetadataTraffic
 from ..memory.prefetch_buffer import PrefetchBuffer
 from ..obs import DEBUG
@@ -39,11 +41,11 @@ from ..obs.trace import span as trace_span
 from ..prefetchers.base import NullPrefetcher, Prefetcher
 from ..stats.metrics import CoverageMetrics
 from ..stats.streamstats import StreamLengthStats
+from .fastpath import L1Filter, build_l1_filter
 from .trace import MemoryTrace
 
 if TYPE_CHECKING:
     from ..obs.runtime import Scope
-    from .fastpath import L1Filter
 
 #: Engine telemetry scope.  Disabled (one global read per guard) until
 #: :func:`repro.obs.configure` turns the process's telemetry on; events
@@ -62,8 +64,6 @@ class SimulationResult:
     metrics: CoverageMetrics
     metadata: MetadataTraffic
     stream_lengths: StreamLengthStats = field(default_factory=StreamLengthStats)
-    #: (pc, block) pairs of uncovered misses, when collection was requested.
-    miss_stream: list[tuple[int, int]] | None = None
     #: Free-form per-prefetcher extras (e.g. spatio-temporal split).
     extras: dict = field(default_factory=dict)
 
@@ -88,19 +88,22 @@ class SimulationResult:
 
 
 class TraceSimulator:
-    """Drives one prefetcher over one trace."""
+    """Drives one prefetcher over one trace.
 
-    def __init__(self, config: SystemConfig, prefetcher: Prefetcher | None = None,
-                 collect_misses: bool = False) -> None:
+    A simulator holds one run's state (buffer, prefetcher, counters),
+    so it runs once: a second :meth:`run` or :meth:`run_filtered`
+    raises :class:`SimulationError` instead of mixing two runs'
+    counters.
+    """
+
+    def __init__(self, config: SystemConfig, prefetcher: Prefetcher | None = None) -> None:
         self.config = config
         self.prefetcher = prefetcher if prefetcher is not None else NullPrefetcher(config)
-        self.collect_misses = collect_misses
-        self.l1 = Cache(config.l1d)
         self.buffer = PrefetchBuffer(config.prefetch_buffer_blocks)
         self.metrics = CoverageMetrics()
         self._stream_useful: defaultdict[int, int] = defaultdict(int)
         self._streams_seen: set[int] = set()
-        self._miss_stream: list[tuple[int, int]] = []
+        self._ran = False
 
     @staticmethod
     def _validate_warmup(warmup: int, n_accesses: int) -> None:
@@ -120,132 +123,28 @@ class TraceSimulator:
     def run(self, trace: MemoryTrace, warmup: int = 0) -> SimulationResult:
         """Simulate the whole trace; ``warmup`` leading accesses train
         state but are excluded from the reported counters."""
-        self._validate_warmup(warmup, len(trace))
-        pcs, blocks, _, _ = trace.as_lists()
-        prefetcher = self.prefetcher
-        l1 = self.l1
-        buffer = self.buffer
-        metrics = self.metrics
-        stream_useful = self._stream_useful
-        streams_seen = self._streams_seen
-        tel = _OBS
-        tracing = tel.enabled
-        # Hoisted out of the hot loop: per-access debug events are the
-        # single most expensive emit path, and at info level and above
-        # every one of them would be filtered out after the call anyway.
-        emit_debug = tracing and tel.enabled_for(DEBUG)
-        # Trigger/prefetch tallies accumulate in locals and flush to the
-        # registry once per run: one integer add per access instead of a
-        # Counter.inc() call, which is what keeps spans-on overhead
-        # inside the bench_obs.py budget.
-        n_miss = n_phit = n_issued = n_evict = n_over = 0
-        # Cooperative cancellation: bounded-staleness checkpoints every
-        # check_every accesses.  Without a token the NEVER sentinel makes
-        # the in-loop test a single always-false integer compare, and
-        # checkpoints only observe, so results are bit-identical either
-        # way (pinned by tests/sim/test_cancel.py).
-        cancel = current_token()
-        published = 0
-        if cancel is not None:
-            cancel.raise_if_cancelled()
-            check_every = cancel.check_every
-            next_check = check_every
-        else:
-            next_check = NEVER
+        return self.run_filtered(build_l1_filter(trace, self.config), warmup)
 
-        with trace_span(obs_names.SPAN_SIMULATE, trace=trace.name,
-                        accesses=len(blocks)), \
-                timed("simulate", emit=False):
-            for i in range(len(blocks)):
-                if i >= next_check:
-                    cancel.checkpoint(i - published)
-                    published = i
-                    next_check = i + check_every
-                if i == warmup and warmup > 0:
-                    self._reset_counters()
-                    metrics = self.metrics
-                block = blocks[i]
-                pc = pcs[i]
-                metrics.accesses += 1
-                if l1.access(block):
-                    metrics.l1_hits += 1
-                    continue
-                entry = buffer.lookup(block)
-                if entry is not None:
-                    metrics.prefetch_hits += 1
-                    stream_useful[entry.stream_id] += 1
-                    if tracing:
-                        n_phit += 1
-                        if emit_debug:
-                            tel.debug(obs_names.EVT_TRIGGER, kind="prefetch_hit", i=i,
-                                      pc=pc, block=block, stream=entry.stream_id)
-                    candidates = prefetcher.on_prefetch_hit(pc, block, entry.stream_id)
-                else:
-                    metrics.misses += 1
-                    if self.collect_misses:
-                        self._miss_stream.append((pc, block))
-                    if tracing:
-                        n_miss += 1
-                        if emit_debug:
-                            tel.debug(obs_names.EVT_TRIGGER, kind="miss", i=i,
-                                      pc=pc, block=block)
-                    candidates = prefetcher.on_miss(pc, block)
-
-                killed = prefetcher.take_killed_streams()
-                for sid in killed:
-                    buffer.invalidate_stream(sid)
-
-                for cand_block, sid in candidates:
-                    if buffer.probe(cand_block) or l1.probe(cand_block):
-                        continue
-                    metrics.prefetches_issued += 1
-                    streams_seen.add(sid)
-                    if tracing:
-                        n_issued += 1
-                        if emit_debug:
-                            tel.debug(obs_names.EVT_PREFETCH, block=cand_block,
-                                      stream=sid)
-                    victim = buffer.insert(cand_block, sid)
-                    if victim is not None:
-                        if tracing:
-                            if victim.used:
-                                n_evict += 1
-                                if emit_debug:
-                                    tel.debug(obs_names.EVT_EVICTION,
-                                              block=victim.block,
-                                              stream=victim.stream_id)
-                            else:
-                                n_over += 1
-                                if emit_debug:
-                                    tel.debug(obs_names.EVT_OVERPREDICTION,
-                                              block=victim.block,
-                                              stream=victim.stream_id)
-                        prefetcher.on_buffer_eviction(
-                            victim.block, victim.stream_id, victim.used)
-
-        if cancel is not None:
-            cancel.advance(len(blocks) - published)
-        if tracing:
-            self._flush_tallies(tel, n_miss, n_phit, n_issued, n_evict,
-                                n_over)
-        return self._emit_result(self._finalise(trace.name))
-
-    def run_filtered(self, filt: "L1Filter", warmup: int = 0) -> SimulationResult:
+    def run_filtered(self, filt: L1Filter, warmup: int = 0) -> SimulationResult:
         """Replay only the L1 misses recorded in ``filt``.
 
-        Bit-identical to :meth:`run` on the originating trace (pinned by
-        ``tests/sim/test_fastpath.py``): prefetches never fill the L1,
-        so its hit/miss split and eviction sequence are
-        prefetcher-independent and :func:`repro.sim.fastpath.build_l1_filter`
-        precomputes them once per ``(trace, l1 config)``.  The replay
-        walks the ~miss-rate fraction of accesses, maintains an exact L1
-        residency set from the recorded evictions (all the candidate
-        filter needs), and reconstructs the hit counters analytically.
-        The simulator's own ``self.l1`` is untouched — every L1 fact
-        comes from the filter.
+        Prefetches never fill the L1, so its hit/miss split and
+        eviction sequence are prefetcher-independent and
+        :func:`repro.sim.fastpath.build_l1_filter` precomputes them once
+        per ``(trace, l1 config)``.  The replay walks the ~miss-rate
+        fraction of accesses, maintains an exact L1 residency set from
+        the recorded evictions (all the candidate filter needs), and
+        reconstructs the hit counters analytically.  Results are
+        bit-identical to the per-access loop in
+        ``tests/sim/reference_engine.py``, which walks every access
+        through a real L1 (pinned by ``tests/sim/test_engine_reference.py``).
         """
+        if self._ran:
+            raise SimulationError(
+                "a TraceSimulator runs once; create a new one per run")
         n_accesses = filt.n_accesses
         self._validate_warmup(warmup, n_accesses)
+        self._ran = True
         prefetcher = self.prefetcher
         buffer = self.buffer
         metrics = self.metrics
@@ -256,11 +155,18 @@ class TraceSimulator:
         emit_debug = tracing and tel.enabled_for(DEBUG)
         if tracing:
             tel.counter(obs_names.MET_FASTPATH_REPLAYS).inc()
-        # Local tallies, flushed once after the loop (see run()).
+        # Trigger/prefetch tallies accumulate in locals and flush to the
+        # registry once per run: one integer add per event instead of a
+        # Counter.inc() call, which is what keeps spans-on overhead
+        # inside the bench_obs.py budget.
         n_miss = n_phit = n_issued = n_evict = n_over = 0
-        # Cancellation checkpoints keyed to the *original* access index,
-        # so progress is metered in simulated accesses exactly as run()
-        # meters it even though this loop only visits the misses.
+        # Cooperative cancellation: bounded-staleness checkpoints every
+        # check_every accesses, keyed to the *original* access index so
+        # progress is metered in simulated accesses even though this
+        # loop only visits the misses.  Without a token the NEVER
+        # sentinel makes the in-loop test a single always-false integer
+        # compare, and checkpoints only observe, so results are
+        # bit-identical either way (pinned by tests/sim/test_cancel.py).
         cancel = current_token()
         published = 0
         if cancel is not None:
@@ -301,8 +207,6 @@ class TraceSimulator:
                     candidates = prefetcher.on_prefetch_hit(pc, block, entry.stream_id)
                 else:
                     metrics.misses += 1
-                    if self.collect_misses:
-                        self._miss_stream.append((pc, block))
                     if tracing:
                         n_miss += 1
                         if emit_debug:
@@ -344,7 +248,7 @@ class TraceSimulator:
 
         if not reset_done:
             # Every recorded miss fell inside the warm-up window; the
-            # unfiltered loop would still have reset at i == warmup.
+            # per-access loop would still have reset at i == warmup.
             self._reset_counters()
         metrics = self.metrics
         # The skipped hit iterations only ever touched these two
@@ -395,7 +299,6 @@ class TraceSimulator:
         self.prefetcher.reset_traffic()
         self._stream_useful.clear()
         self._streams_seen.clear()
-        self._miss_stream.clear()
 
     def _finalise(self, workload_name: str) -> SimulationResult:
         self.buffer.drain()
@@ -416,25 +319,23 @@ class TraceSimulator:
             metrics=self.metrics,
             metadata=self.prefetcher.metadata,
             stream_lengths=lengths,
-            miss_stream=self._miss_stream if self.collect_misses else None,
             extras=extras,
         )
 
 
 def simulate_trace(trace: MemoryTrace, config: SystemConfig,
                    prefetcher: Prefetcher | None = None,
-                   collect_misses: bool = False,
                    warmup: int = 0) -> SimulationResult:
     """One-shot convenience wrapper around :class:`TraceSimulator`."""
-    sim = TraceSimulator(config, prefetcher, collect_misses=collect_misses)
-    return sim.run(trace, warmup=warmup)
+    return TraceSimulator(config, prefetcher).run(trace, warmup=warmup)
 
 
 def collect_miss_stream(trace: MemoryTrace, config: SystemConfig) -> list[tuple[int, int]]:
     """The baseline (no-prefetcher) L1-D miss sequence of a trace —
-    the input to Sequitur opportunity analysis and the Fig. 3/4 study."""
-    result = simulate_trace(trace, config, NullPrefetcher(config),
-                            collect_misses=True)
-    if result.miss_stream is None:  # collect_misses=True guarantees otherwise
-        raise SimulationError("simulate_trace dropped the requested miss stream")
-    return result.miss_stream
+    the input to Sequitur opportunity analysis and the Fig. 3/4 study.
+
+    A NullPrefetcher never fills the buffer, so every L1 miss is an
+    uncovered miss: the sequence is the trace's L1 filter itself.
+    """
+    filt = build_l1_filter(trace, config)
+    return list(zip(filt.pcs.tolist(), filt.blocks.tolist()))

@@ -23,7 +23,8 @@ influences *which* block a future miss evicts — and that is precisely
 what the ``evicted`` array records — so replaying misses against the
 residency set is bit-identical to running the full cache
 (:meth:`repro.sim.engine.TraceSimulator.run_filtered` carries the
-replay; ``tests/sim/test_fastpath.py`` pins the equivalence).
+replay; ``tests/sim/test_engine_reference.py`` pins it against the
+per-access loop kept in ``tests/sim/reference_engine.py``).
 
 One build kernel produces the filter: :func:`build_l1_filter`, a
 vectorised per-set sweep.  Accesses are grouped by cache set with one
@@ -73,14 +74,6 @@ from .trace import MemoryTrace
 #: :func:`filter_from_payload` is rejected.
 FASTPATH_VERSION = 2
 
-#: Environment toggle (``DOMINO_FASTPATH``): ``0``/``false``/``off``/``no``
-#: forces every cell through the unfiltered engine loop; anything else
-#: (the default) replays the filter.  Results are bit-identical either
-#: way.
-ENV_TOGGLE = "DOMINO_FASTPATH"
-
-_OFF_VALUES = ("0", "false", "off", "no")
-
 _ARRAY_FIELDS = ("indices", "pcs", "blocks", "evicted")
 
 #: Codec marker: the envelope stays JSON, the four int64
@@ -92,9 +85,13 @@ _OBS = obs_scope("sim.fastpath")
 
 
 def enabled() -> bool:
-    """Whether the filtered replay path is active (default: yes)."""
-    raw = os.environ.get(ENV_TOGGLE, "1").strip().lower()
-    return raw not in _OFF_VALUES
+    """Always ``True``: every engine run replays an L1 filter.
+
+    There is no unfiltered engine path left to switch to; the function
+    stays because perfbench's tracer still asks it before counting
+    filter requests.
+    """
+    return True
 
 
 @dataclass(frozen=True)
@@ -416,9 +413,8 @@ def build_l1_filter(trace: MemoryTrace, config: SystemConfig) -> L1Filter:
 
     The vectorised kernel reproduces exactly the hit/miss split and
     eviction sequence of the :class:`~repro.memory.cache.Cache` model
-    (via ``access_traced``) that the unfiltered engine drives, so the
-    recorded events are precisely what every prefetcher cell would
-    observe.
+    (via ``access_traced``), so the recorded events are precisely what
+    every prefetcher cell would observe behind a real L1-D.
     """
     with trace_span(obs_names.SPAN_FASTPATH_BUILD, trace=trace.name,
                     accesses=len(trace)):
@@ -481,6 +477,15 @@ def filter_to_binary(filt: L1Filter) -> tuple[dict[str, Any], bytes]:
     return payload, data
 
 
+def _file_crc32(path: str) -> int:
+    """CRC-32 of a file's bytes, read in 1 MiB chunks."""
+    crc = 0
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            crc = zlib.crc32(chunk, crc)
+    return crc
+
+
 def _filter_from_sidecar(payload: dict[str, Any], n_accesses: int,
                          n_misses: int, name: str) -> L1Filter:
     path = payload.get("sidecar_path")
@@ -509,6 +514,20 @@ def _filter_from_sidecar(payload: dict[str, Any], n_accesses: int,
         raise SimulationError(
             f"L1 filter sidecar shape mismatch: expected (4, {n_misses}) "
             f"<i8, found {arr.shape} {arr.dtype}")
+    # A well-formed sidecar with flipped bits passes every check above
+    # and would replay silently wrong values.
+    recorded_crc = payload.get("sidecar_crc32")
+    if not isinstance(recorded_crc, int):
+        raise SimulationError("L1 filter payload records no sidecar CRC")
+    try:
+        actual_crc = _file_crc32(path)
+    except OSError as exc:
+        raise SimulationError(
+            f"L1 filter sidecar unreadable: {exc}") from exc
+    if actual_crc != recorded_crc:
+        raise SimulationError(
+            f"L1 filter sidecar CRC mismatch: recorded {recorded_crc:#010x}, "
+            f"found {actual_crc:#010x}")
     return L1Filter(trace_name=name, n_accesses=n_accesses,
                     indices=arr[0], pcs=arr[1], blocks=arr[2],
                     evicted=arr[3])

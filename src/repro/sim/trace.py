@@ -29,6 +29,8 @@ from ..errors import TraceError
 
 _FIELDS = ("pcs", "blocks", "deps", "works")
 
+_INT64_MAX = np.uint64(np.iinfo(np.int64).max)
+
 
 @dataclass(frozen=True)
 class MemoryTrace:
@@ -48,6 +50,19 @@ class MemoryTrace:
                 raise TraceError(f"trace field {fname} must be 1-D")
             if len(arr) != n:
                 raise TraceError("trace fields must have equal length")
+            # The L1 filter casts columns to int64: floats would be
+            # truncated into different blocks, not rejected.
+            if arr.dtype.kind not in "iu":
+                raise TraceError(
+                    f"trace field {fname} must have an integer dtype, "
+                    f"got {arr.dtype}")
+        for fname in ("pcs", "blocks"):
+            arr = getattr(self, fname)
+            # uint64 values >= 2**63 would wrap negative in that cast.
+            if (n and arr.dtype.kind == "u" and arr.dtype.itemsize >= 8
+                    and arr.max() > _INT64_MAX):
+                raise TraceError(
+                    f"trace field {fname} has values that do not fit int64")
         if n and (self.blocks < 0).any():
             raise TraceError("block addresses must be non-negative")
 

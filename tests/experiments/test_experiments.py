@@ -10,6 +10,8 @@ import pytest
 from repro.errors import UnknownExperimentError
 from repro.experiments import (ExperimentOptions, ExperimentResult,
                                experiment_ids, run_experiment)
+from repro.runner import execute as execute_mod
+from repro.sim import fastpath
 
 TINY = ExperimentOptions(n_accesses=12_000, workloads=("oltp",), seed=7)
 
@@ -45,8 +47,8 @@ PINNED_DIGESTS = {
 }
 
 #: Experiments with trace, opportunity or lookup-depth cells: the ones
-#: whose executors branch on ``DOMINO_FASTPATH``.  The cycle-model and
-#: static experiments never read an L1 filter.
+#: whose executors read an L1 filter.  The cycle-model and static
+#: experiments never do.
 FASTPATH_IDS = ["fig01", "fig02", "fig03", "fig04", "fig05", "fig09",
                 "fig10", "fig11", "fig12", "fig13", "fig15", "fig16"]
 
@@ -60,8 +62,7 @@ def digest(result):
 
 
 @pytest.mark.parametrize("experiment_id", CHEAP + HEAVY)
-def test_experiment_runs_and_renders(experiment_id, monkeypatch):
-    monkeypatch.setenv("DOMINO_FASTPATH", "1")
+def test_experiment_runs_and_renders(experiment_id):
     result = run_experiment(experiment_id, TINY)
     assert digest(result) == PINNED_DIGESTS[experiment_id]
     assert isinstance(result, ExperimentResult)
@@ -75,9 +76,21 @@ def test_experiment_runs_and_renders(experiment_id, monkeypatch):
 
 
 @pytest.mark.parametrize("experiment_id", FASTPATH_IDS)
-def test_pinned_digest_with_fastpath_off(experiment_id, monkeypatch):
-    monkeypatch.setenv("DOMINO_FASTPATH", "0")
+def test_pinned_digest_with_scalar_build(experiment_id, monkeypatch):
+    """Same digests when every filter comes from the scalar ``Cache``
+    pass instead of the vectorised kernel."""
+    builds = []
+
+    def scalar_build(trace, config):
+        builds.append(trace.name)
+        return fastpath.build_l1_filter_scalar(trace, config)
+
+    monkeypatch.setattr(fastpath, "build_l1_filter", scalar_build)
+    # Filters memoized by earlier tests in this process were built by
+    # the vectorised kernel; start from an empty memo.
+    monkeypatch.setattr(execute_mod, "_FILTERS", {})
     result = run_experiment(experiment_id, TINY)
+    assert builds
     assert digest(result) == PINNED_DIGESTS[experiment_id]
 
 

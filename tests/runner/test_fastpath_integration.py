@@ -1,5 +1,6 @@
-"""Fastpath ↔ runner integration: shared filter artifacts and the
-on/off payload-equality guarantee at the scheduler level."""
+"""Fastpath ↔ runner integration: shared filter artifacts, corrupt
+filter recovery, and cell payloads equal to the per-access reference
+engine at the scheduler level."""
 
 import json
 
@@ -11,10 +12,12 @@ from repro.config import SystemConfig
 from repro.obs import names as obs_names
 from repro.runner import Cell, ExecutionPolicy, ResultStore, run_cells
 from repro.runner import execute as execute_mod
-from repro.runner.cells import l1_filter_key
+from repro.runner.cells import cell_config, l1_filter_key, measured_window
 from repro.sim import fastpath
 from repro.stats.streamstats import DEFAULT_BINS
 from repro.workloads.suite import WorkloadSuite
+
+from ..sim.reference_engine import reference_miss_stream, reference_run
 
 
 @pytest.fixture(autouse=True)
@@ -34,7 +37,7 @@ def _grid():
     return cells
 
 
-def _toggle_grid():
+def _full_grid():
     """``_grid()`` plus the other filter-reading cell shapes: a
     lookup-depth cell and a Domino cell with shrunken metadata tables."""
     return _grid() + [
@@ -45,17 +48,30 @@ def _toggle_grid():
     ]
 
 
-class TestFastpathToggleEquivalence:
-    def test_payloads_identical_on_and_off(self, tiny_options, tmp_path,
-                                           monkeypatch):
-        cells = _toggle_grid()
-        monkeypatch.setenv("DOMINO_FASTPATH", "0")
-        off, _ = run_cells(cells, tiny_options,
-                           ExecutionPolicy(use_cache=False))
-        monkeypatch.setenv("DOMINO_FASTPATH", "1")
+class TestReferenceEquivalence:
+    def test_payloads_match_reference_engine(self, tiny_options):
+        cells = _full_grid()
         on, _ = run_cells(cells, tiny_options,
                           ExecutionPolicy(use_cache=False))
-        assert on == off
+        # Trace cells: the payload of the per-access loop's result.
+        # Miss-stream cells: their input is the reference miss stream
+        # of the measured window (the payload is a pure function of it).
+        trace = WorkloadSuite(seed=tiny_options.seed).trace(
+            "oltp", tiny_options.n_accesses)
+        warmup, stop = measured_window(tiny_options)
+        for cell, payload in zip(cells, on, strict=True):
+            config = cell_config(cell)
+            if cell.kind == "trace":
+                expected = reference_run(
+                    trace, config,
+                    execute_mod._cell_prefetcher(cell, config, tiny_options),
+                    warmup)
+                assert payload == execute_mod._trace_payload(expected), cell
+            else:
+                window = reference_miss_stream(trace.slice(warmup, stop),
+                                               config)
+                assert (execute_mod._baseline_miss_blocks(cell, tiny_options)
+                        == [block for _, block in window]), cell
         # Trace cells measure the window after the warm-up only.
         measured = tiny_options.n_accesses - tiny_options.warmup
         assert all(payload["accesses"] == measured
@@ -72,9 +88,7 @@ class TestFastpathToggleEquivalence:
         # different tables, different result.
         assert on[-1] != on[2]
 
-    def test_store_served_filter_equivalent(self, tiny_options, tmp_path,
-                                            monkeypatch):
-        monkeypatch.setenv("DOMINO_FASTPATH", "1")
+    def test_store_served_filter_equivalent(self, tiny_options, tmp_path):
         cache = tmp_path / "warm-store"
         first, _ = run_cells(_grid(), tiny_options,
                              ExecutionPolicy(use_cache=True, cache_dir=cache))
@@ -88,8 +102,7 @@ class TestFastpathToggleEquivalence:
 
 class TestFilterArtifacts:
     def test_filters_persisted_with_their_own_kind(self, tiny_options,
-                                                   tmp_path, monkeypatch):
-        monkeypatch.setenv("DOMINO_FASTPATH", "1")
+                                                   tmp_path):
         cache = tmp_path / "store"
         run_cells(_grid(), tiny_options,
                   ExecutionPolicy(use_cache=True, cache_dir=cache))
@@ -100,8 +113,7 @@ class TestFilterArtifacts:
         assert kinds.count("cell") == 4
 
     def test_one_filter_shared_across_prefetcher_cells(self, tiny_options,
-                                                       tmp_path, monkeypatch):
-        monkeypatch.setenv("DOMINO_FASTPATH", "1")
+                                                       tmp_path):
         cache = tmp_path / "store"
         cells = [Cell(kind="trace", workload="oltp", prefetcher=name,
                       degree=degree)
@@ -115,14 +127,11 @@ class TestFilterArtifacts:
 
     def test_no_cache_means_no_filter_writes(self, tiny_options, tmp_path,
                                              monkeypatch):
-        monkeypatch.setenv("DOMINO_FASTPATH", "1")
         monkeypatch.setenv("DOMINO_CACHE_DIR", str(tmp_path / "unused"))
         run_cells(_grid(), tiny_options, ExecutionPolicy(use_cache=False))
         assert not (tmp_path / "unused").exists()
 
-    def test_filters_persist_binary_sidecars(self, tiny_options, tmp_path,
-                                             monkeypatch):
-        monkeypatch.setenv("DOMINO_FASTPATH", "1")
+    def test_filters_persist_binary_sidecars(self, tiny_options, tmp_path):
         cache = tmp_path / "store"
         run_cells(_grid(), tiny_options,
                   ExecutionPolicy(use_cache=True, cache_dir=cache))
@@ -132,19 +141,28 @@ class TestFilterArtifacts:
             assert sidecar.read_bytes()[:6] == b"\x93NUMPY"
 
 
+def _truncate(data: bytes) -> bytes:
+    return data[:-16]
+
+
+def _flip_last_bit_of_evicted(data: bytes) -> bytes:
+    # Same size and header: only the sidecar CRC can tell.
+    flipped = bytearray(data)
+    flipped[-3] ^= 0x40
+    return bytes(flipped)
+
+
 class TestCorruptFilterRecovery:
     """A filter the codec rejects is quarantined, reported, rebuilt."""
 
-    def test_truncated_sidecar_quarantined_and_rebuilt(self, tiny_options,
-                                                       tmp_path, monkeypatch):
-        monkeypatch.setenv("DOMINO_FASTPATH", "1")
-        cache = tmp_path / "store"
-        first, _ = run_cells(_grid(), tiny_options,
+    @staticmethod
+    def _corrupt_then_rerun(options, cache, corrupt):
+        first, _ = run_cells(_grid(), options,
                              ExecutionPolicy(use_cache=True, cache_dir=cache))
         sidecars = list(cache.glob("v*/*/*.bin"))
         assert sidecars
         for sidecar in sidecars:
-            sidecar.write_bytes(sidecar.read_bytes()[:-16])
+            sidecar.write_bytes(corrupt(sidecar.read_bytes()))
         # Drop the cached cell results so the cells really re-execute
         # and have to load (then reject) the corrupt filters.
         for envelope in cache.glob("v*/*/*.json"):
@@ -153,7 +171,7 @@ class TestCorruptFilterRecovery:
         execute_mod._FILTERS.clear()
         obs.configure(level=obs.DEBUG)
         try:
-            again, _ = run_cells(_grid(), tiny_options,
+            again, _ = run_cells(_grid(), options,
                                  ExecutionPolicy(use_cache=True,
                                                  cache_dir=cache))
             rejected = [e for e in obs.state().trace.events()
@@ -165,6 +183,17 @@ class TestCorruptFilterRecovery:
         store = ResultStore(cache)
         assert store.stats().n_quarantined >= 2  # envelope + sidecar pairs
         assert list(cache.glob("v*/*/*.bin"))    # fresh sidecars re-persisted
+        return rejected
+
+    def test_truncated_sidecar_quarantined_and_rebuilt(self, tiny_options,
+                                                       tmp_path):
+        self._corrupt_then_rerun(tiny_options, tmp_path / "store", _truncate)
+
+    def test_bitflipped_sidecar_quarantined_and_rebuilt(self, tiny_options,
+                                                        tmp_path):
+        rejected = self._corrupt_then_rerun(tiny_options, tmp_path / "store",
+                                            _flip_last_bit_of_evicted)
+        assert all("CRC mismatch" in e["reason"] for e in rejected)
 
 
 class TestWindowedFilters:
@@ -207,9 +236,10 @@ class TestRetiredCodec:
     def test_v1_only_store_rebuilds_bit_identical(self, tiny_options,
                                                   tmp_path, monkeypatch,
                                                   v1_payload_factory):
-        monkeypatch.setenv("DOMINO_FASTPATH", "0")
+        # Fresh builds, no store: the payloads a v1 store must reproduce.
         reference, _ = run_cells(_grid(), tiny_options,
                                  ExecutionPolicy(use_cache=False))
+        execute_mod._FILTERS.clear()  # the served run must hit the store
         # Seed a store with exactly the filters this grid needs, keyed
         # and encoded as version 1 wrote them.
         cache = tmp_path / "v1-store"
@@ -228,7 +258,6 @@ class TestRetiredCodec:
                     kind="l1_filter")
         v1_envelopes = sorted(cache.glob("v*/*/*.json"))
         assert len(v1_envelopes) == 2
-        monkeypatch.setenv("DOMINO_FASTPATH", "1")
         served, _ = run_cells(_grid(), tiny_options,
                               ExecutionPolicy(use_cache=True, cache_dir=cache))
         assert served == reference

@@ -6,7 +6,9 @@ from repro.errors import SimulationError
 from repro.prefetchers.base import NullPrefetcher, Prefetcher
 from repro.prefetchers.nextline import NextLinePrefetcher
 from repro.prefetchers.stms import StmsPrefetcher
-from repro.sim.engine import collect_miss_stream, simulate_trace
+from repro.sim.engine import (TraceSimulator, collect_miss_stream,
+                              simulate_trace)
+from repro.sim.fastpath import build_l1_filter
 
 
 class ScriptedPrefetcher(Prefetcher):
@@ -143,3 +145,32 @@ class TestMissStreamCollection:
         result = simulate_trace(tiny_trace, config, NullPrefetcher(config))
         text = result.summary()
         assert "baseline" in text and "coverage" in text
+
+
+class TestSingleRun:
+    """A simulator holds one run's state: a second run is refused rather
+    than reporting counters mixed across two runs (it used to return
+    ``accesses=n`` with ``l1_hits`` negative)."""
+
+    def test_second_replay_rejected(self, config, tiny_trace):
+        half = len(tiny_trace) // 2
+        sim = TraceSimulator(config, StmsPrefetcher(config))
+        first = sim.run_filtered(
+            build_l1_filter(tiny_trace.slice(0, half), config))
+        assert first.metrics.l1_hits >= 0
+        with pytest.raises(SimulationError, match="runs once"):
+            sim.run_filtered(build_l1_filter(
+                tiny_trace.slice(half, len(tiny_trace)), config))
+
+    def test_second_run_rejected(self, config, tiny_trace):
+        sim = TraceSimulator(config, NullPrefetcher(config))
+        sim.run(tiny_trace)
+        with pytest.raises(SimulationError, match="runs once"):
+            sim.run(tiny_trace)
+
+    def test_rejected_warmup_leaves_simulator_unused(self, config,
+                                                      tiny_trace):
+        sim = TraceSimulator(config, NullPrefetcher(config))
+        with pytest.raises(SimulationError, match="warmup"):
+            sim.run(tiny_trace, warmup=len(tiny_trace))
+        assert sim.run(tiny_trace).metrics.accesses == len(tiny_trace)

@@ -1,6 +1,9 @@
-"""L1 fastpath tests: filter construction, codec, and the
-bit-identical-replay guarantee against the unfiltered engine."""
+"""L1 fastpath tests: filter construction against the scalar build,
+the sidecar codec, and replay of degenerate filters.  The replay's
+bit-identity to the per-access loop is pinned in
+``test_engine_reference.py``."""
 
+import dataclasses
 import io
 import json
 
@@ -9,13 +12,14 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.prefetchers.base import NullPrefetcher
-from repro.prefetchers.registry import make_prefetcher, prefetcher_names
+from repro.prefetchers.registry import make_prefetcher
 from repro.runner.store import ResultStore
-from repro.sim.engine import TraceSimulator, collect_miss_stream
+from repro.sim.engine import TraceSimulator
 from repro.sim.fastpath import (CODEC, FASTPATH_VERSION, L1Filter,
                                 build_l1_filter, build_l1_filter_scalar,
-                                enabled, filter_from_payload,
-                                filter_to_binary)
+                                filter_from_payload, filter_to_binary)
+
+from .reference_engine import reference_miss_stream, reference_run
 
 _FIELDS = ("indices", "pcs", "blocks", "evicted")
 
@@ -52,7 +56,7 @@ def _assert_same_filter(back, filt):
 class TestBuild:
     def test_filter_matches_baseline_miss_stream(self, config, tiny_trace):
         filt = build_l1_filter(tiny_trace, config)
-        expected = collect_miss_stream(tiny_trace, config)
+        expected = reference_miss_stream(tiny_trace, config)
         assert list(zip(filt.pcs.tolist(), filt.blocks.tolist())) == expected
 
     def test_metadata_fields(self, config, tiny_trace):
@@ -87,114 +91,23 @@ class TestBuild:
                      evicted=np.zeros(2, dtype=np.int64))
 
 
-class TestToggle:
-    def test_default_on(self, monkeypatch):
-        monkeypatch.delenv("DOMINO_FASTPATH", raising=False)
-        assert enabled()
-
-    @pytest.mark.parametrize("value", ["0", "false", "OFF", " no "])
-    def test_disabled_values(self, monkeypatch, value):
-        monkeypatch.setenv("DOMINO_FASTPATH", value)
-        assert not enabled()
-
-    def test_other_values_keep_it_on(self, monkeypatch):
-        monkeypatch.setenv("DOMINO_FASTPATH", "1")
-        assert enabled()
-
-
-class TestReplayEquivalence:
-    """run_filtered must be bit-identical to run on the same trace."""
-
-    @pytest.mark.parametrize("name", ["baseline", "nextline", "stms", "digram",
-                                      "domino", "isb", "vldp"])
-    @pytest.mark.parametrize("warmup", [0, 3000])
-    def test_prefetchers_bit_identical(self, config, tiny_trace, name, warmup):
-        filt = build_l1_filter(tiny_trace, config)
-        plain = TraceSimulator(config, make_prefetcher(name, config, degree=4),
-                               collect_misses=True).run(tiny_trace, warmup=warmup)
-        replay = TraceSimulator(config, make_prefetcher(name, config, degree=4),
-                                collect_misses=True).run_filtered(filt, warmup=warmup)
-        assert plain == replay
-
-    @pytest.mark.parametrize("degree", [1, 8])
-    def test_degrees_bit_identical(self, config, tiny_trace, degree):
-        filt = build_l1_filter(tiny_trace, config)
-        plain = TraceSimulator(
-            config, make_prefetcher("domino", config, degree=degree),
-        ).run(tiny_trace)
-        replay = TraceSimulator(
-            config, make_prefetcher("domino", config, degree=degree),
-        ).run_filtered(filt)
-        assert plain == replay
-
-    def test_every_registered_prefetcher(self, config, tiny_trace):
-        filt = build_l1_filter(tiny_trace, config)
-        for name in prefetcher_names():
-            plain = TraceSimulator(config, make_prefetcher(name, config)).run(
-                tiny_trace, warmup=1500)
-            replay = TraceSimulator(
-                config, make_prefetcher(name, config)).run_filtered(
-                filt, warmup=1500)
-            assert plain == replay, name
-
-    def test_roundtripped_filter_equivalent(self, config, tiny_trace,
-                                            tmp_path):
-        _, _, served = _store_roundtrip(build_l1_filter(tiny_trace, config),
-                                        tmp_path)
-        filt = filter_from_payload(served)
-        plain = TraceSimulator(config, make_prefetcher("stms", config)).run(
-            tiny_trace)
-        replay = TraceSimulator(
-            config, make_prefetcher("stms", config)).run_filtered(filt)
-        assert plain == replay
-
-    def test_warmup_past_last_miss(self, config, trace_factory):
-        # One cold miss, then hits only: every recorded miss falls in
-        # the warm-up window, so the replay's trailing reset must fire.
-        trace = trace_factory([5] * 50)
-        filt = build_l1_filter(trace, config)
-        plain = TraceSimulator(config, NullPrefetcher(config)).run(
-            trace, warmup=10)
-        replay = TraceSimulator(config, NullPrefetcher(config)).run_filtered(
-            filt, warmup=10)
-        assert plain == replay
-        assert replay.metrics.misses == 0
-        assert replay.metrics.accesses == 40
-
-    def test_whole_trace_warmup_rejected(self, config, tiny_trace):
-        filt = build_l1_filter(tiny_trace, config)
-        sim = TraceSimulator(config, NullPrefetcher(config))
-        with pytest.raises(SimulationError):
-            sim.run_filtered(filt, warmup=len(tiny_trace))
-
-
 def _empty_trace(trace_factory):
     return trace_factory([])
 
 
 class TestModes:
-    """The toggle's spellings, and the one build kernel against the
-    scalar reference."""
+    """The one build kernel against the scalar reference."""
 
-    @pytest.mark.parametrize("value,expected", [
-        ("0", "0"), ("FALSE", "0"), (" off ", "0"), ("no", "0"),
-        ("1", "1"), ("jit", "jit"), ("JIT", "jit"),
-        ("legacy", "legacy"), ("turbo", "1"),
-    ])
-    def test_mode_parsing(self, monkeypatch, value, expected):
-        # Only the off spellings ("0") turn the fastpath off; the
-        # retired kernel names ("jit", "legacy") and unknown values
-        # keep it on.
-        monkeypatch.setenv("DOMINO_FASTPATH", value)
-        assert enabled() == (expected != "0")
-
-    @pytest.mark.parametrize("build_mode", ["1", "0"])
+    # [0] runs the closed-form 2-way kernel (the test L1-D is 2-way);
+    # [1] the general residency sweep, through a 4-way L1-D of the
+    # same size.
+    @pytest.mark.parametrize("kernel", [0, 1])
     def test_all_builders_match_scalar_reference(self, config, tiny_trace,
-                                                 monkeypatch, build_mode):
-        # The toggle picks filtered vs unfiltered replay, never the
-        # kernel: a filter requested with the fastpath off is the same.
+                                                 kernel):
+        if kernel:
+            config = dataclasses.replace(
+                config, l1d=dataclasses.replace(config.l1d, ways=4))
         reference = build_l1_filter_scalar(tiny_trace, config)
-        monkeypatch.setenv("DOMINO_FASTPATH", build_mode)
         built = build_l1_filter(tiny_trace, config)
         for fname in _FIELDS:
             assert np.array_equal(getattr(built, fname),
@@ -263,7 +176,7 @@ class TestDegenerate:
         trace = _empty_trace(trace_factory)
         filt = build_l1_filter(trace, config)
         assert filt.n_accesses == 0 and filt.n_misses == 0
-        plain = TraceSimulator(config, NullPrefetcher(config)).run(trace)
+        plain = reference_run(trace, config, NullPrefetcher(config))
         replay = TraceSimulator(config, NullPrefetcher(config)).run_filtered(
             filt)
         assert plain == replay
@@ -272,7 +185,7 @@ class TestDegenerate:
         trace = trace_factory([5] * 50)
         filt = build_l1_filter(trace, config)
         assert filt.n_misses == 1  # the single cold miss
-        plain = TraceSimulator(config, NullPrefetcher(config)).run(trace)
+        plain = reference_run(trace, config, NullPrefetcher(config))
         replay = TraceSimulator(config, NullPrefetcher(config)).run_filtered(
             filt)
         assert plain == replay
@@ -285,8 +198,7 @@ class TestDegenerate:
         filt = build_l1_filter(trace, config)
         assert filt.n_misses == 200
         assert int(np.count_nonzero(filt.evicted >= 0)) == 200 - config.l1d.ways
-        plain = TraceSimulator(config, make_prefetcher("stms", config)).run(
-            trace)
+        plain = reference_run(trace, config, make_prefetcher("stms", config))
         replay = TraceSimulator(
             config, make_prefetcher("stms", config)).run_filtered(filt)
         assert plain == replay
@@ -321,8 +233,8 @@ class TestBinaryCodec:
                                                   tmp_path):
         _, back = self._roundtrip(build_l1_filter(tiny_trace, config),
                                   tmp_path)
-        plain = TraceSimulator(config, make_prefetcher("domino", config)).run(
-            tiny_trace, warmup=1500)
+        plain = reference_run(tiny_trace, config,
+                              make_prefetcher("domino", config), warmup=1500)
         replay = TraceSimulator(
             config, make_prefetcher("domino", config)).run_filtered(
             back, warmup=1500)
@@ -417,11 +329,22 @@ class TestPayloadCodec:
         with pytest.raises(SimulationError, match="corrupt"):
             filter_from_payload(payload)
 
+    def test_bitflipped_sidecar_rejected(self, config, tiny_trace, tmp_path):
+        # Same size, same header, one flipped bit in the last evicted
+        # block: every structural check passes, only the CRC catches it.
+        filt = build_l1_filter(tiny_trace, config)
+        payload, data = filter_to_binary(filt)
+        flipped = bytearray(data)
+        flipped[-3] ^= 0x40
+        _attach(payload, bytes(flipped), tmp_path)
+        with pytest.raises(SimulationError, match="CRC mismatch"):
+            filter_from_payload(payload)
+
     def test_missing_field_rejected(self, config, tiny_trace, tmp_path):
         payload, data = filter_to_binary(build_l1_filter(tiny_trace, config))
         _attach(payload, data, tmp_path)
         for field in ("codec", "n_accesses", "n_misses", "trace_name",
-                      "sidecar_bytes"):
+                      "sidecar_bytes", "sidecar_crc32"):
             partial = {k: v for k, v in payload.items() if k != field}
             with pytest.raises(SimulationError):
                 filter_from_payload(partial)

@@ -46,6 +46,37 @@ class TestMemoryTrace:
         with pytest.raises(TraceError):
             trace_factory([1, -2, 3])
 
+    @pytest.mark.parametrize("field", ["pcs", "blocks", "deps", "works"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.bool_, object])
+    def test_non_integer_columns_rejected(self, field, dtype):
+        columns = {"pcs": np.zeros(3, dtype=np.int64),
+                   "blocks": np.arange(3, dtype=np.int64),
+                   "deps": np.zeros(3, dtype=np.int8),
+                   "works": np.zeros(3, dtype=np.int32)}
+        columns[field] = columns[field].astype(dtype)
+        with pytest.raises(TraceError, match="integer dtype"):
+            MemoryTrace(**columns)
+
+    @pytest.mark.parametrize("field", ["pcs", "blocks"])
+    def test_uint64_beyond_int64_rejected(self, field):
+        # 2**63 passes the non-negative check but would wrap to a
+        # negative int64 in the L1 filter.
+        columns = {"pcs": np.zeros(2, dtype=np.uint64),
+                   "blocks": np.arange(2, dtype=np.uint64),
+                   "deps": np.zeros(2, dtype=np.int8),
+                   "works": np.zeros(2, dtype=np.int32)}
+        columns[field][1] = np.uint64(2**63)
+        with pytest.raises(TraceError, match="do not fit int64"):
+            MemoryTrace(**columns)
+
+    def test_uint64_within_int64_accepted(self):
+        top = np.iinfo(np.int64).max
+        trace = MemoryTrace(pcs=np.array([0, top], dtype=np.uint64),
+                            blocks=np.array([1, top], dtype=np.uint64),
+                            deps=np.zeros(2, dtype=np.uint8),
+                            works=np.zeros(2, dtype=np.uint16))
+        assert trace.blocks.tolist() == [1, top]
+
     def test_slice(self, trace_factory):
         trace = trace_factory([1, 2, 3, 4, 5])
         part = trace.slice(1, 3)
@@ -94,6 +125,18 @@ class TestPersistence:
         assert loaded.pcs.tolist() == [1, 2, 3]
         assert loaded.deps.tolist() == [0, 1, 0]
         assert loaded.name == "roundtrip"
+
+    def test_float_blocks_file_rejected(self, tmp_path):
+        # Float blocks used to load, and the L1 filter truncated
+        # [1.5, 1.2, 2.9, 1.0] to blocks 1 and 2 instead of failing.
+        path = tmp_path / "float.npz"
+        np.savez_compressed(path, pcs=np.zeros(4, dtype=np.int64),
+                            blocks=np.array([1.5, 1.2, 2.9, 1.0]),
+                            deps=np.zeros(4, dtype=np.int8),
+                            works=np.zeros(4, dtype=np.int32),
+                            name=np.array("float"))
+        with pytest.raises(TraceError, match="integer dtype"):
+            load_trace(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(TraceError):

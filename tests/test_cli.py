@@ -57,17 +57,12 @@ def test_unknown_workload_rejected():
         build_parser().parse_args(["compare", "--workload", "doom"])
 
 
-@pytest.mark.parametrize("argv", [["--fastpath", "jit"], ["--no-fastpath"]])
+@pytest.mark.parametrize("argv", [["--fastpath", "jit"], ["--no-fastpath"],
+                                  ["--fastpath", "0"], ["--fastpath", "1"]])
 def test_retired_fastpath_switches_rejected(argv, capsys):
-    # The fastpath is on/off only: --fastpath {0,1}.
+    # Every run replays L1 filters; there is no fastpath switch left.
     with pytest.raises(SystemExit):
         build_parser().parse_args(["run", "fig11", *argv])
-
-
-def test_fastpath_toggle_accepts_on_and_off():
-    for value in ("0", "1"):
-        args = build_parser().parse_args(["run", "fig11", "--fastpath", value])
-        assert args.fastpath == value
 
 
 def test_version(capsys):
