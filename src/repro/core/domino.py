@@ -27,7 +27,7 @@ from ..obs import DEBUG
 from ..obs import names as obs_names
 from ..obs import scope as obs_scope
 from ..prefetchers.base import Candidate
-from ..prefetchers.temporal_base import GlobalHistoryPrefetcher, _UNBOUNDED_CAPACITY
+from ..prefetchers.temporal_base import GlobalHistoryPrefetcher
 from .eit import EnhancedIndexTable
 
 #: Telemetry scope for EIT lookup outcomes (off until obs.configure()).
@@ -35,7 +35,13 @@ _OBS = obs_scope("core.domino")
 
 
 class DominoPrefetcher(GlobalHistoryPrefetcher):
-    """Domino: combined one- and two-address temporal lookup via the EIT."""
+    """Domino: combined one- and two-address temporal lookup via the EIT.
+
+    The hooks read ``_OBS.enabled`` once each and skip the two-address
+    step when nothing is pending; the plain version is kept in
+    ``tests/prefetchers/reference_prefetchers.py``, and a differential
+    test holds this one to it.
+    """
 
     name = "domino"
     #: The EIT row itself carries the next-miss address, so the first
@@ -56,14 +62,16 @@ class DominoPrefetcher(GlobalHistoryPrefetcher):
 
     # -- triggering events ------------------------------------------------
     def on_miss(self, pc: int, block: int) -> list[Candidate]:
+        tracing = _OBS.enabled
         # The miss is first used as the second address of the pending
         # stream's two-address lookup ...
-        candidates = self._confirm_pending(block)
+        candidates = ([] if self._pending_sid is None
+                      else self._confirm_pending(block, tracing))
         # ... and then as the single-address lookup that opens a new one.
         self.metadata.index_reads += 1
         super_entry = self.eit.lookup(block)
         self._record(block)
-        if _OBS.enabled:
+        if tracing:
             emit_debug = _OBS.enabled_for(DEBUG)
             if super_entry is None:
                 _OBS.counter(obs_names.MET_EIT_ONE_ADDR_MISS).inc()
@@ -81,49 +89,56 @@ class DominoPrefetcher(GlobalHistoryPrefetcher):
         stream, victim = self.streams.allocate()
         if victim is not None:
             self._kill_stream(victim.stream_id)
-        stream.pending_entries = super_entry.snapshot()
-        most_recent = super_entry.most_recent()
-        if most_recent is not None:
-            candidates.append((most_recent[0], stream.stream_id))
+        # The snapshot runs LRU -> MRU; its last entry names the most
+        # likely next miss.
+        pending = super_entry.snapshot()
+        stream.pending_entries = pending
+        sid = stream.stream_id
+        if pending:
+            candidates.append((pending[-1][0], sid))
             stream.issued += 1
-        self._pending_sid = stream.stream_id
+        self._pending_sid = sid
         return candidates
 
     def on_prefetch_hit(self, pc: int, block: int, stream_id: int) -> list[Candidate]:
-        candidates = self._confirm_pending(block)
+        candidates = ([] if self._pending_sid is None
+                      else self._confirm_pending(block, _OBS.enabled))
         self._record(block)
-        stream = self.streams.get(stream_id)
-        if stream is None or stream.dead:
+        stream = self._active.get(stream_id)
+        if stream is None:
             return candidates
         stream.useful += 1
-        self.streams.promote(stream_id)
-        if stream.pending:
+        self._active.move_to_end(stream_id)
+        if stream.pending_entries is not None:
             # Hit on a stream that is still awaiting confirmation by a
             # *different* pending event; nothing more to issue yet.
             return candidates
-        if any(sid == stream_id for _, sid in candidates):
-            # This very hit confirmed the stream; the confirmation already
-            # issued a full degree of prefetches.
-            return candidates
-        return candidates + self._issue(stream, 1)
+        for _, sid in candidates:
+            if sid == stream_id:
+                # This very hit confirmed the stream; the confirmation
+                # already issued a full degree of prefetches.
+                return candidates
+        candidates.extend(self._issue(stream, 1))
+        return candidates
 
     # -- the two-address lookup ---------------------------------------------
-    def _confirm_pending(self, event_block: int) -> list[Candidate]:
-        """Resolve the stream pending from the previous triggering event."""
+    def _confirm_pending(self, event_block: int, tracing: bool) -> list[Candidate]:
+        """Resolve the stream pending from the previous triggering event
+        (``tracing``: the caller's read of ``_OBS.enabled``)."""
         sid, self._pending_sid = self._pending_sid, None
         if sid is None:
             return []
-        stream = self.streams.get(sid)
-        if stream is None or stream.dead or not stream.pending:
+        stream = self._active.get(sid)
+        if stream is None or stream.pending_entries is None:
             return []
-        entries = stream.pending_entries or []
+        entries = stream.pending_entries
         stream.pending_entries = None
         pointer = None
         for address, ptr in reversed(entries):  # most recent first
             if address == event_block:
                 pointer = ptr
                 break
-        if _OBS.enabled:
+        if tracing:
             emit_debug = _OBS.enabled_for(DEBUG)
             if pointer is None:
                 _OBS.counter(obs_names.MET_EIT_TWO_ADDR_DISCARD).inc()
@@ -148,7 +163,7 @@ class DominoPrefetcher(GlobalHistoryPrefetcher):
         # HT[pointer] is the tag, HT[pointer+1] the matched event; the
         # stream to replay starts right after the pair.
         self._fill_from_history(stream, pointer + 2)
-        self.streams.promote(sid)
+        self._active.move_to_end(sid)
         return self._issue(stream, self.degree)
 
     # -- metadata recording --------------------------------------------------

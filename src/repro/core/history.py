@@ -13,18 +13,22 @@ transfers) were needed so metadata traffic can be charged faithfully.
 
 from __future__ import annotations
 
-from collections import deque
-
 
 class HistoryTable:
-    """Circular buffer of miss addresses with row-granular reads."""
+    """Circular buffer of miss addresses with row-granular reads.
+
+    The buffer is a list indexed by ``position % capacity``: it grows
+    by appending until it holds ``capacity`` events and then overwrites
+    in place, so a position is one index away and a row read is one
+    slice (two across the wrap).
+    """
 
     def __init__(self, capacity: int, row_entries: int = 12) -> None:
         if capacity <= 0 or row_entries <= 0:
             raise ValueError("capacity and row_entries must be positive")
         self.capacity = capacity
         self.row_entries = row_entries
-        self._buf: deque[int] = deque(maxlen=capacity)
+        self._buf: list[int] = []
         self._next_pos = 0  # global position of the next append
 
     def __len__(self) -> int:
@@ -43,8 +47,11 @@ class HistoryTable:
     def append(self, address: int) -> int:
         """Record a triggering event; returns its global position."""
         pos = self._next_pos
-        self._buf.append(address)
-        self._next_pos += 1
+        if pos < self.capacity:
+            self._buf.append(address)
+        else:
+            self._buf[pos % self.capacity] = address
+        self._next_pos = pos + 1
         return pos
 
     def contains_position(self, pos: int) -> bool:
@@ -55,7 +62,7 @@ class HistoryTable:
         """Address recorded at global position ``pos``, if resident."""
         if not self.contains_position(pos):
             return None
-        return self._buf[pos - self.oldest_position]
+        return self._buf[pos % self.capacity]
 
     def read_forward(self, pos: int, count: int) -> tuple[list[int], int]:
         """Addresses at positions [pos, pos+count), clipped to residency.
@@ -70,8 +77,13 @@ class HistoryTable:
         stop = min(pos + count, self._next_pos)
         if stop <= start:
             return [], 0
-        base = self.oldest_position
-        addresses = [self._buf[i - base] for i in range(start, stop)]
+        capacity = self.capacity
+        lo = start % capacity
+        hi = lo + stop - start
+        if hi <= capacity:
+            addresses = self._buf[lo:hi]
+        else:
+            addresses = self._buf[lo:] + self._buf[:hi - capacity]
         first_row = start // self.row_entries
         last_row = (stop - 1) // self.row_entries
         return addresses, last_row - first_row + 1

@@ -46,62 +46,55 @@ class ActiveStream:
     unused_evictions: int = 0
     dead: bool = False
 
-    @property
-    def pending(self) -> bool:
-        """Is the stream awaiting its two-address confirmation?"""
-        return self.pending_entries is not None
-
-    def next_address(self) -> int | None:
-        """Pop the next address to prefetch, or None when dry."""
-        if self.queue:
-            return self.queue.popleft()
-        return None
-
-    def extendable(self) -> bool:
-        return self.ht_cursor is not None
-
 
 class StreamTable:
-    """Up to ``capacity`` active streams with LRU replacement."""
+    """Up to ``capacity`` active streams with LRU replacement.
+
+    :attr:`live` is public: the prefetcher hooks look streams up and
+    promote them on it directly.  A stream leaves it exactly when it
+    dies, so membership is liveness and ``stream.dead`` need not be
+    read.
+    """
 
     def __init__(self, capacity: int) -> None:
         if capacity <= 0:
             raise ValueError("stream table capacity must be positive")
         self.capacity = capacity
-        self._streams: OrderedDict[int, ActiveStream] = OrderedDict()
+        #: Live streams by id, least- to most-recently used.
+        self.live: OrderedDict[int, ActiveStream] = OrderedDict()
         self._ids = itertools.count()
 
     def __len__(self) -> int:
-        return len(self._streams)
+        return len(self.live)
 
     def __iter__(self) -> Iterator[ActiveStream]:
-        return iter(self._streams.values())
+        return iter(self.live.values())
 
     def get(self, stream_id: int) -> ActiveStream | None:
-        return self._streams.get(stream_id)
+        return self.live.get(stream_id)
 
     def allocate(self) -> tuple[ActiveStream, ActiveStream | None]:
         """Create a new MRU stream; returns (stream, replaced_victim)."""
         victim = None
-        if len(self._streams) >= self.capacity:
-            _, victim = self._streams.popitem(last=False)
+        if len(self.live) >= self.capacity:
+            _, victim = self.live.popitem(last=False)
             victim.dead = True
         stream = ActiveStream(stream_id=next(self._ids))
-        self._streams[stream.stream_id] = stream
+        self.live[stream.stream_id] = stream
         return stream, victim
 
     def promote(self, stream_id: int) -> None:
         """Make ``stream_id`` the most-recently-used stream."""
-        if stream_id in self._streams:
-            self._streams.move_to_end(stream_id)
+        if stream_id in self.live:
+            self.live.move_to_end(stream_id)
 
     def remove(self, stream_id: int) -> ActiveStream | None:
-        stream = self._streams.pop(stream_id, None)
+        stream = self.live.pop(stream_id, None)
         if stream is not None:
             stream.dead = True
         return stream
 
     def clear(self) -> None:
-        for stream in self._streams.values():
+        for stream in self.live.values():
             stream.dead = True
-        self._streams.clear()
+        self.live.clear()

@@ -3,13 +3,21 @@
 Per Section IV-D of the paper, *all* evaluated prefetchers prefetch into
 a small buffer near the L1-D (capacity 32 blocks) rather than into the
 cache itself, so useless prefetches pollute only the buffer.  The buffer
-is fully associative with FIFO-of-insertion replacement and tracks, for
-every block, whether it was ever consumed by a demand access — evicting
-an unconsumed block is an *overprediction* in the paper's terminology.
+is fully associative with FIFO-of-insertion replacement.  A demand hit
+consumes (removes) its entry, so a resident block has never been used:
+every block that leaves the buffer any other way -- FIFO eviction,
+stream invalidation, the end-of-run drain -- is an *overprediction* in
+the paper's terminology.
 
 Each entry also records the stream id that produced it (so a prefetch
 hit can advance the right active stream) and a ``ready_time`` used by the
 timing simulator to model late prefetches.
+
+The timing kernel (:mod:`repro.sim.timing`) works on ``_entries``
+directly and folds its tallies into :attr:`PrefetchBuffer.stats`; the
+trace engine keeps its own ``block -> stream id`` FIFO.  The methods
+serve the step-at-a-time reference models under ``tests/sim/`` and the
+per-layer tracer in ``perfbench/``, which wraps them by name.
 """
 
 from __future__ import annotations
@@ -25,16 +33,14 @@ class BufferEntry:
     block: int
     stream_id: int
     ready_time: float = 0.0
-    used: bool = False
 
 
 @dataclass
 class PrefetchBufferStats:
     inserted: int = 0
     hits: int = 0
+    #: Blocks that left the buffer unconsumed (overpredictions).
     evicted_unused: int = 0
-    evicted_used: int = 0
-    duplicates_dropped: int = 0
 
 
 class PrefetchBuffer:
@@ -47,32 +53,18 @@ class PrefetchBuffer:
         self._entries: OrderedDict[int, BufferEntry] = OrderedDict()
         self.stats = PrefetchBufferStats()
 
-    def reset_stats(self) -> None:
-        """Forget the counters while keeping the resident entries.
-
-        The warm-up protocol ends its training window by zeroing every
-        measurement without perturbing simulated state; callers must use
-        this rather than re-``__init__``-ing the stats object in place.
-        """
-        self.stats = PrefetchBufferStats()
-
     def insert(self, block: int, stream_id: int = -1, ready_time: float = 0.0) -> BufferEntry | None:
         """Insert a prefetched block; returns the evicted entry, if any.
 
         A duplicate insert refreshes nothing and is dropped (the block is
-        already on its way); the evicted entry, when unconsumed, is what
-        the engine counts as an overprediction.
+        already on its way); the evicted entry is an overprediction.
         """
         if block in self._entries:
-            self.stats.duplicates_dropped += 1
             return None
         victim: BufferEntry | None = None
         if len(self._entries) >= self.capacity:
             _, victim = self._entries.popitem(last=False)
-            if victim.used:
-                self.stats.evicted_used += 1
-            else:
-                self.stats.evicted_unused += 1
+            self.stats.evicted_unused += 1
         self._entries[block] = BufferEntry(block, stream_id, ready_time)
         self.stats.inserted += 1
         return victim
@@ -80,10 +72,8 @@ class PrefetchBuffer:
     def lookup(self, block: int) -> BufferEntry | None:
         """Demand lookup.  On a hit the entry is consumed (removed)."""
         entry = self._entries.pop(block, None)
-        if entry is None:
-            return None
-        entry.used = True
-        self.stats.hits += 1
+        if entry is not None:
+            self.stats.hits += 1
         return entry
 
     def probe(self, block: int) -> bool:
@@ -91,27 +81,20 @@ class PrefetchBuffer:
         return block in self._entries
 
     def invalidate_stream(self, stream_id: int) -> int:
-        """Drop all blocks fetched by ``stream_id``; unconsumed drops count
-        as overpredictions (the paper discards the Prefetch Buffer contents
-        of a replaced stream).  Returns the number of blocks dropped."""
+        """Drop all blocks fetched by ``stream_id``, as overpredictions
+        (the paper discards the Prefetch Buffer contents of a replaced
+        stream).  Returns the number of blocks dropped."""
         doomed = [b for b, e in self._entries.items() if e.stream_id == stream_id]
         for b in doomed:
-            entry = self._entries.pop(b)
-            if entry.used:
-                self.stats.evicted_used += 1
-            else:
-                self.stats.evicted_unused += 1
+            del self._entries[b]
+        self.stats.evicted_unused += len(doomed)
         return len(doomed)
 
     def drain(self) -> list[BufferEntry]:
-        """Empty the buffer, counting unconsumed entries as unused
+        """Empty the buffer, counting what is left as overpredictions
         (called at end of simulation so totals balance)."""
         leftovers = list(self._entries.values())
-        for entry in leftovers:
-            if entry.used:
-                self.stats.evicted_used += 1
-            else:
-                self.stats.evicted_unused += 1
+        self.stats.evicted_unused += len(leftovers)
         self._entries.clear()
         return leftovers
 

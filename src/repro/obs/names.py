@@ -30,7 +30,6 @@ from __future__ import annotations
 # -- sim.engine events ------------------------------------------------------
 EVT_TRIGGER = "trigger"                    # one triggering event (miss or prefetch hit)
 EVT_PREFETCH = "prefetch"                  # one candidate inserted into the buffer
-EVT_EVICTION = "eviction"                  # used block evicted from the buffer
 EVT_OVERPREDICTION = "overprediction"      # unused block evicted from the buffer
 EVT_RUN_COMPLETE = "run_complete"          # one trace-driven simulation finished
 
@@ -95,7 +94,6 @@ EVT_SPAN = "span"                          # one finished causal span record
 MET_TRIGGER_MISS = "trigger_miss"
 MET_TRIGGER_PREFETCH_HIT = "trigger_prefetch_hit"
 MET_PREFETCH_ISSUED = "prefetch_issued"
-MET_EVICTION_USED = "eviction_used"
 MET_OVERPREDICTION = "overprediction"
 
 # -- sim.fastpath / runner.fastpath counters --------------------------------

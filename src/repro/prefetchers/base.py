@@ -64,8 +64,14 @@ class Prefetcher(ABC):
 
     def take_killed_streams(self) -> list[int]:
         """Stream ids discarded since the last call (engine drops their
-        buffered blocks, per Section III-B's replacement semantics)."""
-        killed, self._killed_streams = self._killed_streams, []
+        buffered blocks, per Section III-B's replacement semantics).
+
+        Every kill must go through :meth:`_kill_stream`: the replay
+        loops hold this list and call here only while it is non-empty,
+        which is also why it is cleared in place.
+        """
+        killed = self._killed_streams[:]
+        self._killed_streams.clear()
         return killed
 
     def _kill_stream(self, stream_id: int) -> None:
@@ -88,3 +94,11 @@ class NullPrefetcher(Prefetcher):
 
     def on_miss(self, pc: int, block: int) -> list[Candidate]:
         return []
+
+
+def overrides(prefetcher: Prefetcher, hook: str) -> bool:
+    """Does ``prefetcher``'s class replace :class:`Prefetcher`'s ``hook``?
+
+    The replay loops skip the base no-op ``on_buffer_eviction``.
+    """
+    return getattr(type(prefetcher), hook) is not getattr(Prefetcher, hook)

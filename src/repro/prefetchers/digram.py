@@ -43,7 +43,7 @@ class DigramPrefetcher(GlobalHistoryPrefetcher):
         pos = self._index.get(key)
         if pos is None:
             return None
-        if not self.history.contains_position(pos):
+        if pos < self.history.oldest_position:
             del self._index[key]
             return None
         return pos
@@ -52,10 +52,14 @@ class DigramPrefetcher(GlobalHistoryPrefetcher):
         if self._prev_event is None:
             return
         key = (self._prev_event, block)
+        if self._it_capacity is None:
+            # Nothing is ever evicted, so the LRU order is never read.
+            self._index[key] = pos
+            return
         if key in self._index:
             self._index[key] = pos
             self._index.move_to_end(key)
             return
-        if self._it_capacity is not None and len(self._index) >= self._it_capacity:
+        if len(self._index) >= self._it_capacity:
             self._index.popitem(last=False)
         self._index[key] = pos

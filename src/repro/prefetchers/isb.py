@@ -26,7 +26,12 @@ from .base import Candidate, Prefetcher
 
 
 class IsbPrefetcher(Prefetcher):
-    """Idealised PC-localised address-correlating prefetcher."""
+    """Idealised PC-localised address-correlating prefetcher.
+
+    ``on_miss`` is the whole hook; the plain version is kept in
+    ``tests/prefetchers/reference_prefetchers.py``, and a differential
+    test holds this one to it.
+    """
 
     name = "isb"
     first_prefetch_round_trips = 0  # idealised on-chip metadata
@@ -39,24 +44,24 @@ class IsbPrefetcher(Prefetcher):
         #: (pc, block) -> index of the last occurrence in pc's sequence.
         self._last_occurrence: dict[tuple[int, int], int] = {}
 
-    def _train_and_predict(self, pc: int, block: int) -> list[Candidate]:
-        history = self._pc_history.setdefault(pc, [])
+    def on_miss(self, pc: int, block: int) -> list[Candidate]:
+        history = self._pc_history.get(pc)
+        if history is None:
+            history = self._pc_history[pc] = []
         key = (pc, block)
         previous = self._last_occurrence.get(key)
-        candidates: list[Candidate] = []
-        if previous is not None:
-            successors = history[previous + 1: previous + 1 + self.degree]
-            # The PC doubles as the stream id: each load instruction owns
-            # one logical PC-localised stream.
-            candidates = [(b, pc) for b in successors]
         self._last_occurrence[key] = len(history)
+        if previous is None:
+            history.append(block)
+            return []
+        # The PC doubles as the stream id: each load instruction owns
+        # one logical PC-localised stream.
+        start = previous + 1
+        candidates = [(b, pc) for b in history[start:start + self.degree]]
         history.append(block)
         return candidates
-
-    def on_miss(self, pc: int, block: int) -> list[Candidate]:
-        return self._train_and_predict(pc, block)
 
     def on_prefetch_hit(self, pc: int, block: int, stream_id: int) -> list[Candidate]:
         # A prefetch hit would have been a miss of this PC; it both trains
         # the PC's stream and advances the prediction window.
-        return self._train_and_predict(pc, block)
+        return self.on_miss(pc, block)

@@ -46,17 +46,21 @@ class StmsPrefetcher(GlobalHistoryPrefetcher):
         pos = self._index.get(block)
         if pos is None:
             return None
-        if not self.history.contains_position(pos):
+        if pos < self.history.oldest_position:
             # The HT wrapped past this pointer; the entry is stale.
             del self._index[block]
             return None
         return pos
 
     def _update_index(self, block: int, pos: int) -> None:
+        if self._it_capacity is None:
+            # Nothing is ever evicted, so the LRU order is never read.
+            self._index[block] = pos
+            return
         if block in self._index:
             self._index[block] = pos
             self._index.move_to_end(block)
             return
-        if self._it_capacity is not None and len(self._index) >= self._it_capacity:
+        if len(self._index) >= self._it_capacity:
             self._index.popitem(last=False)
         self._index[block] = pos

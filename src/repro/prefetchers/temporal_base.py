@@ -33,7 +33,14 @@ _STREAM_END_THRESHOLD = 2
 
 
 class GlobalHistoryPrefetcher(Prefetcher):
-    """Base class for STMS-like prefetchers over the global miss history."""
+    """Base class for STMS-like prefetchers over the global miss history.
+
+    The hooks read hoisted copies of the config values, the sampling
+    RNG's ``random`` and the stream table's ``live`` dict, and issue
+    straight from a stream's PointBuf.  The plain version is kept in
+    ``tests/prefetchers/reference_prefetchers.py``, and a differential
+    test holds this one to it.
+    """
 
     is_temporal = True
     first_prefetch_round_trips = 2  # IT read, then HT read (Fig. 6)
@@ -49,6 +56,11 @@ class GlobalHistoryPrefetcher(Prefetcher):
         self._prev_event: int | None = None
         self._prev_pos: int | None = None
         self._stream_end = config.stream_end_detection
+        # Hoisted for the hooks.
+        self._random = self._rng.random
+        self._sampling = config.sampling_probability
+        self._row_entries = config.ht_row_entries
+        self._active = self.streams.live
 
     # -- subclass hooks ------------------------------------------------------
     def _lookup(self, block: int) -> int | None:
@@ -75,17 +87,18 @@ class GlobalHistoryPrefetcher(Prefetcher):
 
     def on_prefetch_hit(self, pc: int, block: int, stream_id: int) -> list[Candidate]:
         self._record(block)
-        stream = self.streams.get(stream_id)
-        if stream is None or stream.dead:
+        # A dead stream is no longer in the table's live dict.
+        stream = self._active.get(stream_id)
+        if stream is None:
             return []
         stream.useful += 1
-        self.streams.promote(stream_id)
+        self._active.move_to_end(stream_id)
         return self._issue(stream, 1)
 
     def on_buffer_eviction(self, block: int, stream_id: int, used: bool) -> None:
         if used:
             return
-        stream = self.streams.get(stream_id)
+        stream = self._active.get(stream_id)
         if stream is None:
             return
         stream.unused_evictions += 1
@@ -97,42 +110,42 @@ class GlobalHistoryPrefetcher(Prefetcher):
         """Append a triggering event to the HT; sampled index update."""
         pos = self.history.append(block)
         # One HT block write per completed row (the LogMiss flush).
-        if (pos + 1) % self.history.row_entries == 0:
+        if (pos + 1) % self._row_entries == 0:
             self.metadata.history_writes += 1
-        if self._rng.random() < self.config.sampling_probability:
+        if self._random() < self._sampling:
             self._update_index(block, pos)
-            self.metadata.index_reads += 1
-            self.metadata.index_writes += 1
+            metadata = self.metadata
+            metadata.index_reads += 1
+            metadata.index_writes += 1
         self._prev_event = block
         self._prev_pos = pos
 
-    def _fill_from_history(self, stream: ActiveStream, start_pos: int) -> None:
+    def _fill_from_history(self, stream: ActiveStream, start_pos: int) -> bool:
         """Read the HT row containing ``start_pos`` into the stream's
-        PointBuf and leave the cursor ready for sequential extension."""
-        row_end = (start_pos // self.history.row_entries + 1) * self.history.row_entries
-        addrs, rows = self.history.read_forward(start_pos, row_end - start_pos)
+        PointBuf and leave the cursor ready for sequential extension;
+        returns whether the read found any address."""
+        addrs, rows = self.history.read_forward(
+            start_pos, self._row_entries - start_pos % self._row_entries)
+        if not addrs:
+            stream.ht_cursor = None
+            return False
         self.metadata.history_reads += rows
         stream.queue.extend(addrs)
-        stream.ht_cursor = start_pos + len(addrs) if addrs else None
-
-    def _extend(self, stream: ActiveStream) -> bool:
-        """Fetch the next HT row for a running stream."""
-        if stream.ht_cursor is None:
-            return False
-        before = len(stream.queue)
-        self._fill_from_history(stream, stream.ht_cursor)
-        return len(stream.queue) > before
+        stream.ht_cursor = start_pos + len(addrs)
+        return True
 
     def _issue(self, stream: ActiveStream, count: int) -> list[Candidate]:
-        """Pop up to ``count`` addresses from the stream for prefetching."""
+        """Pop up to ``count`` addresses from the stream for prefetching,
+        reading further HT rows while the PointBuf runs dry."""
+        queue = stream.queue
+        sid = stream.stream_id
         out: list[Candidate] = []
-        while count > 0:
-            address = stream.next_address()
-            if address is None:
-                if not self._extend(stream):
-                    break
-                continue
-            out.append((address, stream.stream_id))
-            stream.issued += 1
-            count -= 1
+        while count:
+            if queue:
+                out.append((queue.popleft(), sid))
+                count -= 1
+            elif (stream.ht_cursor is None
+                  or not self._fill_from_history(stream, stream.ht_cursor)):
+                break
+        stream.issued += len(out)
         return out

@@ -23,11 +23,14 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
-from ..config import BLOCKS_PER_PAGE, SystemConfig
-from ..memory.block import block_in_page, page_of, page_offset_of
+from ..config import BLOCK_SHIFT, BLOCKS_PER_PAGE, PAGE_SHIFT, SystemConfig
 from .base import Candidate, Prefetcher
 
 _MAX_DELTA_HISTORY = 3
+#: ``block >> _PAGE_BITS`` is the page, ``block & _OFFSET_MASK`` the
+#: offset (:func:`repro.memory.block.page_of` / ``page_offset_of``).
+_PAGE_BITS = PAGE_SHIFT - BLOCK_SHIFT
+_OFFSET_MASK = BLOCKS_PER_PAGE - 1
 
 
 @dataclass
@@ -35,16 +38,19 @@ class _DhbEntry:
     """Per-page state in the Delta History Buffer."""
 
     last_offset: int
+    #: Up to ``_MAX_DELTA_HISTORY`` most recent deltas, oldest first.
     deltas: list[int] = field(default_factory=list)
-
-    def push_delta(self, delta: int) -> None:
-        self.deltas.append(delta)
-        if len(self.deltas) > _MAX_DELTA_HISTORY:
-            del self.deltas[0]
 
 
 class VldpPrefetcher(Prefetcher):
-    """Multi-degree delta prefetcher with variable-length matching."""
+    """Multi-degree delta prefetcher with variable-length matching.
+
+    The hook is hand-inlined: page arithmetic in place, the DPT updates
+    and lookups unrolled over the one to three history lengths, and the
+    speculative history carried in three locals.  The plain version is
+    kept in ``tests/prefetchers/reference_prefetchers.py``, and a
+    differential test holds this one to it.
+    """
 
     name = "vldp"
     first_prefetch_round_trips = 0  # on-chip metadata
@@ -62,30 +68,6 @@ class VldpPrefetcher(Prefetcher):
         self._opt_entries = opt_entries
 
     # -- training -----------------------------------------------------------
-    def _observe(self, page: int, offset: int) -> _DhbEntry:
-        entry = self._dhb.get(page)
-        if entry is None:
-            if len(self._dhb) >= self._dhb_entries:
-                self._dhb.popitem(last=False)
-            entry = _DhbEntry(last_offset=offset)
-            self._dhb[page] = entry
-            return entry
-        self._dhb.move_to_end(page)
-        delta = offset - entry.last_offset
-        if delta != 0:
-            if not entry.deltas:
-                # Second access of the page trains the OPT.
-                self._update_opt(entry.last_offset, delta)
-            self._update_dpts(entry.deltas, delta)
-            entry.push_delta(delta)
-            entry.last_offset = offset
-        return entry
-
-    def _update_dpts(self, history: list[int], delta: int) -> None:
-        for length in range(1, min(len(history), _MAX_DELTA_HISTORY) + 1):
-            key = tuple(history[-length:])
-            self._dpt[length - 1][key] = delta
-
     def _update_opt(self, first_offset: int, delta: int) -> None:
         if first_offset in self._opt:
             self._opt[first_offset] = delta
@@ -95,54 +77,103 @@ class VldpPrefetcher(Prefetcher):
             self._opt.popitem(last=False)
         self._opt[first_offset] = delta
 
-    # -- prediction ----------------------------------------------------------
-    def _predict_delta(self, history: list[int]) -> int | None:
-        """Deepest-table-first delta prediction."""
-        for length in range(min(len(history), _MAX_DELTA_HISTORY), 0, -1):
-            delta = self._dpt[length - 1].get(tuple(history[-length:]))
-            if delta is not None:
-                return delta
-        return None
-
-    def _chain_predictions(self, page: int, offset: int,
-                           history: list[int]) -> list[Candidate]:
-        """Feed predictions back through the DPTs up to the degree."""
-        candidates: list[Candidate] = []
-        speculative = list(history)
-        cursor = offset
-        for _ in range(self.degree):
-            delta = self._predict_delta(speculative)
-            if delta is None:
-                break
-            cursor += delta
-            if not (0 <= cursor < BLOCKS_PER_PAGE):
-                break  # VLDP never crosses a page
-            candidates.append((block_in_page(page, cursor), page))
-            speculative.append(delta)
-            if len(speculative) > _MAX_DELTA_HISTORY:
-                del speculative[0]
-        return candidates
-
-    def _trigger(self, block: int) -> list[Candidate]:
-        page = page_of(block)
-        offset = page_offset_of(block)
-        known = page in self._dhb
-        entry = self._observe(page, offset)
-        if not known:
+    # -- triggering events -----------------------------------------------
+    def on_miss(self, pc: int, block: int) -> list[Candidate]:
+        page = block >> _PAGE_BITS
+        offset = block & _OFFSET_MASK
+        base = block - offset
+        dhb = self._dhb
+        entry = dhb.get(page)
+        dpt1, dpt2, dpt3 = self._dpt
+        if entry is None:
             # First touch of the page: only the OPT can help.
+            if len(dhb) >= self._dhb_entries:
+                dhb.popitem(last=False)
+            dhb[page] = _DhbEntry(offset)
             delta = self._opt.get(offset)
             if delta is None:
                 return []
-            target = offset + delta
-            if not (0 <= target < BLOCKS_PER_PAGE):
+            cursor = offset + delta
+            if not 0 <= cursor < BLOCKS_PER_PAGE:
                 return []
-            first = [(block_in_page(page, target), page)]
-            return first + self._chain_predictions(page, target, [delta])[: self.degree - 1]
-        return self._chain_predictions(page, offset, entry.deltas)
-
-    # -- triggering events -----------------------------------------------
-    def on_miss(self, pc: int, block: int) -> list[Candidate]:
-        return self._trigger(block)
+            candidates = [(base + cursor, page)]
+            steps = self.degree - 1
+            if not steps:
+                return candidates
+            known = 1
+            d1 = d2 = 0
+            d3 = delta
+        else:
+            dhb.move_to_end(page)
+            deltas = entry.deltas
+            known = len(deltas)
+            delta = offset - entry.last_offset
+            if delta:
+                # Train DPT-1..known on the history, then push the delta.
+                if known == 3:
+                    d1, d2, d3 = deltas
+                    dpt1[(d3,)] = delta
+                    dpt2[(d2, d3)] = delta
+                    dpt3[(d1, d2, d3)] = delta
+                    deltas[0] = d2
+                    deltas[1] = d3
+                    deltas[2] = delta
+                    d1, d2, d3 = d2, d3, delta
+                elif known == 2:
+                    d2, d3 = deltas
+                    dpt1[(d3,)] = delta
+                    dpt2[(d2, d3)] = delta
+                    deltas.append(delta)
+                    known = 3
+                    d1, d2, d3 = d2, d3, delta
+                elif known == 1:
+                    d3 = deltas[0]
+                    dpt1[(d3,)] = delta
+                    deltas.append(delta)
+                    known = 2
+                    d1, d2, d3 = 0, d3, delta
+                else:
+                    # Second access of the page trains the OPT.
+                    self._update_opt(entry.last_offset, delta)
+                    deltas.append(delta)
+                    known = 1
+                    d1, d2, d3 = 0, 0, delta
+                entry.last_offset = offset
+            elif known == 3:
+                d1, d2, d3 = deltas
+            elif known == 2:
+                d1 = 0
+                d2, d3 = deltas
+            elif known == 1:
+                d1 = d2 = 0
+                d3 = deltas[0]
+            else:
+                return []
+            candidates = []
+            steps = self.degree
+            cursor = offset
+        # Chain deepest-table-first predictions, each fed back as the
+        # newest delta; ``d1, d2, d3`` is the history, newest last, of
+        # which the last ``known`` (1-3) are real.  VLDP never crosses
+        # a page.
+        for _ in range(steps):
+            delta = None
+            if known == 3:
+                delta = dpt3.get((d1, d2, d3))
+            if delta is None and known >= 2:
+                delta = dpt2.get((d2, d3))
+            if delta is None:
+                delta = dpt1.get((d3,))
+                if delta is None:
+                    break
+            cursor += delta
+            if not 0 <= cursor < BLOCKS_PER_PAGE:
+                break
+            candidates.append((base + cursor, page))
+            d1, d2, d3 = d2, d3, delta
+            if known < 3:
+                known += 1
+        return candidates
 
     def on_prefetch_hit(self, pc: int, block: int, stream_id: int) -> list[Candidate]:
-        return self._trigger(block)
+        return self.on_miss(pc, block)

@@ -41,7 +41,12 @@ keeping.
 Destructive maintenance (``clear``/``gc``) takes an advisory lockfile
 so two runs sharing one cache cannot interleave an artifact sweep with
 each other's writes.  Plain ``get``/``put`` stay lock-free: they are
-already safe under concurrency thanks to atomic replace.
+already safe under concurrency thanks to atomic replace.  ``gc``
+retires a file by first renaming it to a *tombstone* (``.<name>.gc``),
+then deleting the tombstone only if it is still the file gc ranked; a
+``put`` that replaced the file in the meantime is linked back.  A
+``get`` that finds the envelope or its sidecar missing waits while a
+live gc holds a tombstone for the key, and reads once more.
 
 The store intentionally reuses plain JSON rather than pickle: artifacts
 survive interpreter upgrades, are greppable, and cannot execute code on
@@ -84,6 +89,14 @@ DEFAULT_LOCK_TIMEOUT_S = 10.0
 
 #: Store telemetry scope (off until obs.configure()).
 _OBS = obs.scope("runner.store")
+
+#: How long a ``get`` waits for a running gc to settle a parked
+#: (tombstoned) file.  gc holds one for a rename, a stat and an unlink;
+#: a tombstone left by a gc that died is not waited for at all.
+_GC_SETTLE_S = 2.0
+
+#: ``_read``'s answer when the file or its sidecar is parked by gc.
+_PARKED = object()
 
 
 def default_lock_timeout_s() -> float:
@@ -164,24 +177,37 @@ class StoreLock:
             self._held = True
             return self
 
-    def _break_if_stale(self) -> bool:
-        """Remove the lockfile if its holder is provably gone."""
+    def _holder(self) -> tuple[int, bool] | None:
+        """``(pid, alive)`` of the lock's holder, or None when the
+        lockfile is absent or unreadable.  A holder older than
+        ``stale_s`` counts as gone."""
         try:
             pid = int(self.path.read_text(encoding="utf-8") or "0")
             age = time.time() - self.path.stat().st_mtime
         except (OSError, ValueError):
-            return False  # racing holder mid-write (or already released)
-        stale = age > self.stale_s
-        if pid > 0 and not stale:
+            return None  # racing holder mid-write (or already released)
+        if age > self.stale_s:
+            return pid, False
+        if pid > 0:
             try:
                 os.kill(pid, 0)
-                return False  # holder is alive
             except ProcessLookupError:
-                stale = True
+                return pid, False
             except PermissionError:
-                return False  # alive, owned by someone else
-        if not stale:
+                pass  # alive, owned by someone else
+        return pid, True
+
+    def held(self) -> bool:
+        """Does a live process hold the lock (a clear/gc under way)?"""
+        holder = self._holder()
+        return holder is not None and holder[1]
+
+    def _break_if_stale(self) -> bool:
+        """Remove the lockfile if its holder is provably gone."""
+        holder = self._holder()
+        if holder is None or holder[1]:
             return False
+        pid = holder[0]
         _OBS.warning(obs_names.EVT_LOCK_BROKEN, path=str(self.path), holder_pid=pid)
         _OBS.counter(obs_names.MET_LOCK_BREAKS).inc()
         try:
@@ -254,11 +280,25 @@ class ResultStore:
         kinds existed read back as ``"cell"``.
         """
         path = self.path_for(key)
+        payload = self._read(path, key, kind, settled=False)
+        if payload is _PARKED:
+            # gc may have the file or its sidecar parked while it checks
+            # whether a racing put replaced it; read again once settled.
+            self._await_gc(path)
+            payload = self._read(path, key, kind, settled=True)
+        return payload
+
+    def _read(self, path: Path, key: str, kind: str, settled: bool) -> Any:
+        """One attempt of :meth:`get`: the payload, or ``None`` on a
+        miss.  Unless ``settled``, an absence gc may be causing (a
+        missing envelope or sidecar) answers ``_PARKED``."""
         try:
             with open(path, encoding="utf-8") as fh:
                 document = json.load(fh)
         except FileNotFoundError:
-            return None
+            # gc may have parked the file, or parked and restored it
+            # between this open and any check of its tombstone.
+            return None if settled else _PARKED
         except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
             self._quarantine(path, reason=f"{type(exc).__name__}: {exc}")
             return None
@@ -281,10 +321,32 @@ class ResultStore:
                 return None
             sidecar = path.parent / payload_path
             if not sidecar.is_file():
-                self._quarantine(path, reason="missing payload sidecar")
+                if not settled:
+                    return _PARKED
+                if not self._tombstone(sidecar).exists():
+                    self._quarantine(path, reason="missing payload sidecar")
                 return None
             payload["sidecar_path"] = str(sidecar)
         return payload
+
+    @staticmethod
+    def _tombstone(path: Path) -> Path:
+        """Where gc parks ``path`` while it retires it.  gc holds the
+        store lock, so one name per file is enough."""
+        return path.parent / f".{path.name}.gc"
+
+    def _await_gc(self, path: Path) -> None:
+        """Wait (bounded) while a live gc has ``path``'s envelope or
+        sidecar parked."""
+        parked = (self._tombstone(path),
+                  self._tombstone(path.with_suffix(".bin")))
+        if not any(p.exists() for p in parked):
+            return
+        lock = self.lock()
+        deadline = time.monotonic() + _GC_SETTLE_S
+        while (any(p.exists() for p in parked) and lock.held()
+               and time.monotonic() < deadline):
+            time.sleep(0.001)
 
     def put(self, key: str, payload: dict[str, Any], kind: str = "cell",
             sidecar: bytes | None = None) -> None:
@@ -399,6 +461,42 @@ class ResultStore:
                         shutil.rmtree(child, ignore_errors=True)
         return removed
 
+    def _retire(self, path: Path, ranked: os.stat_result) -> bool:
+        """Delete ``path`` if it is still the file gc ranked (same
+        ``st_ino`` and ``st_mtime_ns`` as ``ranked``); returns whether
+        it did.  ``os.replace`` always installs a new inode, so a put
+        since the ranking shows as a changed identity.
+
+        The file is parked under its tombstone first, so the identity
+        check and the delete see the same file.  A ``put`` that replaced
+        it before the park is restored by a hard link, unless a newer
+        ``put`` has already taken the name again.
+        """
+        tomb = self._tombstone(path)
+        self._gc_race_window(path, "ranked")
+        try:
+            os.replace(path, tomb)
+        except OSError:
+            return False
+        self._gc_race_window(path, "parked")
+        try:
+            parked = tomb.stat()
+        except OSError:
+            return False
+        if (parked.st_ino, parked.st_mtime_ns) == (ranked.st_ino,
+                                                   ranked.st_mtime_ns):
+            self._discard(tomb)
+            return True
+        with contextlib.suppress(OSError):
+            os.link(tomb, path)  # FileExistsError: a newer put won
+        self._discard(tomb)
+        return False
+
+    def _gc_race_window(self, path: Path, stage: str) -> None:
+        """No-op marker of where a lock-free put or get can interleave
+        with :meth:`_retire` (``"ranked"``: before the park,
+        ``"parked"``: while parked); the store race tests inject there."""
+
     def gc(self, keep: int, lock_timeout_s: float | None = None) -> int:
         """Drop the oldest artifacts beyond ``keep`` entries (by mtime).
 
@@ -413,26 +511,34 @@ class ResultStore:
                             and child.name.startswith("v")):
                         removed += sum(1 for _ in child.glob("*/*.json"))
                         shutil.rmtree(child, ignore_errors=True)
+            # Tombstones left by a gc that died mid-retirement: at
+            # worst their loss is a cache miss.
+            if self.root.is_dir():
+                for tomb in self.root.glob("*/.*.gc"):
+                    self._discard(tomb)
             stamped = []
             for path in self._artifacts():
-                try:
-                    stamped.append((path.stat().st_mtime, path))
-                except OSError:
-                    continue
+                st = _stat(path)
+                if st is not None:
+                    stamped.append((st.st_mtime, path, st))
             if keep >= 0 and len(stamped) > keep:
-                stamped.sort()
-                for mtime, path in stamped[:len(stamped) - keep]:
-                    # put() is lock-free, so re-check against the
-                    # snapshot: an artifact refreshed since we ranked
-                    # it is no longer the oldest — keep it.
-                    try:
-                        if path.stat().st_mtime != mtime:
-                            continue
-                    except OSError:
+                stamped.sort(key=lambda item: item[:2])
+                for _, path, st in stamped[:len(stamped) - keep]:
+                    sidecar = path.with_suffix(".bin")
+                    side_st = _stat(sidecar)
+                    # put() is lock-free: an artifact replaced since we
+                    # ranked it is no longer the oldest — keep it.
+                    if not self._retire(path, st):
                         continue
-                    self._discard(path)
-                    self._discard(path.with_suffix(".bin"))
                     removed += 1
+                    # A put installs its sidecar before its envelope, so
+                    # a sidecar installed after the ranked envelope
+                    # belongs to a newer put still on its way.  A coarse
+                    # ctime clock can stamp that sidecar with the
+                    # envelope's ctime, so a tie is left too: the orphan
+                    # sweep below collects it if no envelope claims it.
+                    if side_st is not None and side_st.st_ctime_ns < st.st_ctime_ns:
+                        self._retire(sidecar, side_st)
             # Orphan sidecars (crash between sidecar and envelope
             # write, or an envelope gc'd by an older code version).
             # Age-gated: a fresh sidecar may belong to a put() that
@@ -440,11 +546,17 @@ class ResultStore:
             kept = {p.with_suffix(".bin") for p in self._artifacts()}
             cutoff = time.time() - 300.0
             for sidecar in self._sidecars():
-                try:
-                    orphaned = (sidecar not in kept
-                                and sidecar.stat().st_mtime < cutoff)
-                except OSError:
+                if sidecar in kept:
                     continue
-                if orphaned:
-                    self._discard(sidecar)
+                st = _stat(sidecar)
+                if st is not None and st.st_mtime < cutoff:
+                    self._retire(sidecar, st)
         return removed
+
+
+def _stat(path: Path) -> os.stat_result | None:
+    """``path.stat()``, or None if it is absent."""
+    try:
+        return path.stat()
+    except OSError:
+        return None

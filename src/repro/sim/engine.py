@@ -24,7 +24,7 @@ lengths.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import OrderedDict, defaultdict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -32,13 +32,12 @@ from ..cancel import NEVER, current_token
 from ..config import SystemConfig
 from ..errors import SimulationError
 from ..memory.metadata import MetadataTraffic
-from ..memory.prefetch_buffer import PrefetchBuffer
 from ..obs import DEBUG
 from ..obs import names as obs_names
 from ..obs import scope as obs_scope
 from ..obs import timed
 from ..obs.trace import span as trace_span
-from ..prefetchers.base import NullPrefetcher, Prefetcher
+from ..prefetchers.base import NullPrefetcher, Prefetcher, overrides
 from ..stats.metrics import CoverageMetrics
 from ..stats.streamstats import StreamLengthStats
 from .fastpath import L1Filter, build_l1_filter
@@ -94,12 +93,21 @@ class TraceSimulator:
     so it runs once: a second :meth:`run` or :meth:`run_filtered`
     raises :class:`SimulationError` instead of mixing two runs'
     counters.
+
+    The prefetch buffer is the FIFO of
+    :class:`~repro.memory.prefetch_buffer.PrefetchBuffer` reduced to
+    what coverage needs: an insertion-ordered ``block -> stream id``
+    dict.  A demand hit consumes (pops) its entry, so a resident entry
+    is never a used one, and the timing model's ``ready_time`` plays
+    no part here.
     """
 
     def __init__(self, config: SystemConfig, prefetcher: Prefetcher | None = None) -> None:
         self.config = config
         self.prefetcher = prefetcher if prefetcher is not None else NullPrefetcher(config)
-        self.buffer = PrefetchBuffer(config.prefetch_buffer_blocks)
+        if config.prefetch_buffer_blocks <= 0:
+            raise ValueError("prefetch buffer capacity must be positive")
+        self.buffer: OrderedDict[int, int] = OrderedDict()
         self.metrics = CoverageMetrics()
         self._stream_useful: defaultdict[int, int] = defaultdict(int)
         self._streams_seen: set[int] = set()
@@ -134,10 +142,17 @@ class TraceSimulator:
         per ``(trace, l1 config)``.  The replay walks the ~miss-rate
         fraction of accesses, maintains an exact L1 residency set from
         the recorded evictions (all the candidate filter needs), and
-        reconstructs the hit counters analytically.  Results are
-        bit-identical to the per-access loop in
-        ``tests/sim/reference_engine.py``, which walks every access
-        through a real L1 (pinned by ``tests/sim/test_engine_reference.py``).
+        reconstructs the hit counters analytically.
+
+        The prefetch buffer is inlined (see the class docstring): a
+        demand hit pops its entry, so every resident entry is unused
+        and every eviction, stream invalidation and end-of-run drain is
+        an overprediction.  Counters live in locals and are written to
+        :attr:`metrics` once.  Results are bit-identical to the
+        per-access loop in ``tests/sim/reference_engine.py``, which
+        walks every access through a real L1 and a
+        :class:`~repro.memory.prefetch_buffer.PrefetchBuffer` (pinned
+        by ``tests/sim/test_engine_reference.py``).
         """
         if self._ran:
             raise SimulationError(
@@ -146,8 +161,16 @@ class TraceSimulator:
         self._validate_warmup(warmup, n_accesses)
         self._ran = True
         prefetcher = self.prefetcher
+        on_miss = prefetcher.on_miss
+        on_prefetch_hit = prefetcher.on_prefetch_hit
+        take_killed = prefetcher.take_killed_streams
+        # Kills land on the base class's list, which is only worth a
+        # call when non-empty.  The base eviction hook is a no-op.
+        kills = prefetcher._killed_streams
+        on_eviction = (prefetcher.on_buffer_eviction
+                       if overrides(prefetcher, "on_buffer_eviction") else None)
         buffer = self.buffer
-        metrics = self.metrics
+        capacity = self.config.prefetch_buffer_blocks
         stream_useful = self._stream_useful
         streams_seen = self._streams_seen
         tel = _OBS
@@ -155,11 +178,11 @@ class TraceSimulator:
         emit_debug = tracing and tel.enabled_for(DEBUG)
         if tracing:
             tel.counter(obs_names.MET_FASTPATH_REPLAYS).inc()
-        # Trigger/prefetch tallies accumulate in locals and flush to the
-        # registry once per run: one integer add per event instead of a
-        # Counter.inc() call, which is what keeps spans-on overhead
-        # inside the bench_obs.py budget.
-        n_miss = n_phit = n_issued = n_evict = n_over = 0
+        # Measured-window tallies; the warm-up reset zeroes them and
+        # keeps the training window's in ``warm`` for telemetry, which
+        # counts every trigger of the run.
+        misses = prefetch_hits = issued = evicted = invalidated = 0
+        warm = (0, 0, 0, 0)
         # Cooperative cancellation: bounded-staleness checkpoints every
         # check_every accesses, keyed to the *original* access index so
         # progress is metered in simulated accesses even though this
@@ -190,91 +213,89 @@ class TraceSimulator:
                     next_check = i + check_every
                 if not reset_done and i >= warmup:
                     self._reset_counters()
-                    metrics = self.metrics
+                    warm = (misses, prefetch_hits, issued, evicted)
+                    misses = prefetch_hits = issued = evicted = invalidated = 0
                     reset_done = True
                 if victim_block >= 0:
                     resident.discard(victim_block)
                 resident.add(block)
-                entry = buffer.lookup(block)
-                if entry is not None:
-                    metrics.prefetch_hits += 1
-                    stream_useful[entry.stream_id] += 1
-                    if tracing:
-                        n_phit += 1
-                        if emit_debug:
-                            tel.debug(obs_names.EVT_TRIGGER, kind="prefetch_hit", i=i,
-                                      pc=pc, block=block, stream=entry.stream_id)
-                    candidates = prefetcher.on_prefetch_hit(pc, block, entry.stream_id)
+                sid = buffer.pop(block, None)
+                if sid is None:
+                    misses += 1
+                    if emit_debug:
+                        tel.debug(obs_names.EVT_TRIGGER, kind="miss", i=i,
+                                  pc=pc, block=block)
+                    candidates = on_miss(pc, block)
                 else:
-                    metrics.misses += 1
-                    if tracing:
-                        n_miss += 1
-                        if emit_debug:
-                            tel.debug(obs_names.EVT_TRIGGER, kind="miss", i=i,
-                                      pc=pc, block=block)
-                    candidates = prefetcher.on_miss(pc, block)
+                    prefetch_hits += 1
+                    stream_useful[sid] += 1
+                    if emit_debug:
+                        tel.debug(obs_names.EVT_TRIGGER, kind="prefetch_hit", i=i,
+                                  pc=pc, block=block, stream=sid)
+                    candidates = on_prefetch_hit(pc, block, sid)
 
-                killed = prefetcher.take_killed_streams()
-                for sid in killed:
-                    buffer.invalidate_stream(sid)
+                if kills:
+                    for dead in take_killed():
+                        doomed = [b for b, owner in buffer.items()
+                                  if owner == dead]
+                        for b in doomed:
+                            del buffer[b]
+                        invalidated += len(doomed)
 
-                for cand_block, sid in candidates:
-                    if buffer.probe(cand_block) or cand_block in resident:
+                for cand, sid in candidates:
+                    if cand in buffer or cand in resident:
                         continue
-                    metrics.prefetches_issued += 1
+                    issued += 1
                     streams_seen.add(sid)
-                    if tracing:
-                        n_issued += 1
+                    if emit_debug:
+                        tel.debug(obs_names.EVT_PREFETCH, block=cand, stream=sid)
+                    if len(buffer) >= capacity:
+                        victim, owner = buffer.popitem(last=False)
+                        buffer[cand] = sid
+                        evicted += 1
                         if emit_debug:
-                            tel.debug(obs_names.EVT_PREFETCH, block=cand_block,
-                                      stream=sid)
-                    victim = buffer.insert(cand_block, sid)
-                    if victim is not None:
-                        if tracing:
-                            if victim.used:
-                                n_evict += 1
-                                if emit_debug:
-                                    tel.debug(obs_names.EVT_EVICTION,
-                                              block=victim.block,
-                                              stream=victim.stream_id)
-                            else:
-                                n_over += 1
-                                if emit_debug:
-                                    tel.debug(obs_names.EVT_OVERPREDICTION,
-                                              block=victim.block,
-                                              stream=victim.stream_id)
-                        prefetcher.on_buffer_eviction(
-                            victim.block, victim.stream_id, victim.used)
+                            tel.debug(obs_names.EVT_OVERPREDICTION,
+                                      block=victim, stream=owner)
+                        if on_eviction is not None:
+                            on_eviction(victim, owner, False)
+                    else:
+                        buffer[cand] = sid
 
         if not reset_done:
             # Every recorded miss fell inside the warm-up window; the
             # per-access loop would still have reset at i == warmup.
             self._reset_counters()
+            warm = (misses, prefetch_hits, issued, evicted)
+            misses = prefetch_hits = issued = evicted = invalidated = 0
         metrics = self.metrics
+        metrics.misses = misses
+        metrics.prefetch_hits = prefetch_hits
+        metrics.prefetches_issued = issued
         # The skipped hit iterations only ever touched these two
         # counters; the engine's per-access increments reduce to them.
         measured = n_accesses - warmup
         metrics.accesses = measured
-        metrics.l1_hits = measured - (metrics.misses + metrics.prefetch_hits)
+        metrics.l1_hits = measured - (misses + prefetch_hits)
+        # The end-of-run drain: what is still resident was never used.
+        metrics.overpredictions = evicted + invalidated + len(buffer)
+        buffer.clear()
         if cancel is not None:
             cancel.advance(n_accesses - published)
         if tracing:
-            self._flush_tallies(tel, n_miss, n_phit, n_issued, n_evict,
-                                n_over)
+            self._flush_tallies(tel, *(w + t for w, t in zip(
+                warm, (misses, prefetch_hits, issued, evicted))))
         return self._emit_result(self._finalise(filt.trace_name))
 
     @staticmethod
     def _flush_tallies(tel: "Scope", n_miss: int, n_phit: int, n_issued: int,
-                       n_evict: int, n_over: int) -> None:
-        """Flush the hot loop's local trigger tallies to the registry."""
+                       n_over: int) -> None:
+        """Flush the run's trigger tallies to the registry."""
         if n_miss:
             tel.counter(obs_names.MET_TRIGGER_MISS).inc(n_miss)
         if n_phit:
             tel.counter(obs_names.MET_TRIGGER_PREFETCH_HIT).inc(n_phit)
         if n_issued:
             tel.counter(obs_names.MET_PREFETCH_ISSUED).inc(n_issued)
-        if n_evict:
-            tel.counter(obs_names.MET_EVICTION_USED).inc(n_evict)
         if n_over:
             tel.counter(obs_names.MET_OVERPREDICTION).inc(n_over)
 
@@ -295,14 +316,11 @@ class TraceSimulator:
     def _reset_counters(self) -> None:
         """Forget warm-up measurements but keep all simulated state."""
         self.metrics = CoverageMetrics()
-        self.buffer.reset_stats()
         self.prefetcher.reset_traffic()
         self._stream_useful.clear()
         self._streams_seen.clear()
 
     def _finalise(self, workload_name: str) -> SimulationResult:
-        self.buffer.drain()
-        self.metrics.overpredictions = self.buffer.stats.evicted_unused
         lengths = StreamLengthStats()
         # Sorted so per-stream accumulation order (and thus any
         # order-sensitive downstream rendering) is run-invariant.

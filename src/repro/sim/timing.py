@@ -37,7 +37,7 @@ from ..memory.dram import BandwidthLedger
 from ..memory.prefetch_buffer import BufferEntry, PrefetchBuffer
 from ..obs import names as obs_names
 from ..obs.trace import span as trace_span
-from ..prefetchers.base import NullPrefetcher, Prefetcher
+from ..prefetchers.base import NullPrefetcher, Prefetcher, overrides
 from .engine import TraceSimulator
 from .trace import MemoryTrace
 
@@ -191,8 +191,12 @@ class TimingSimulator:
         prefetcher = self.prefetcher
         on_miss = prefetcher.on_miss
         on_prefetch_hit = prefetcher.on_prefetch_hit
-        on_eviction = prefetcher.on_buffer_eviction
+        # The engine's skips: no call to a no-op eviction hook, and
+        # kills taken only when the base list has any.
+        on_eviction = (prefetcher.on_buffer_eviction
+                       if overrides(prefetcher, "on_buffer_eviction") else None)
         take_killed = prefetcher.take_killed_streams
+        kills = prefetcher._killed_streams
         metadata = prefetcher.metadata
         first_delay = prefetcher.first_prefetch_round_trips * memory_latency
 
@@ -344,8 +348,9 @@ class TimingSimulator:
                             ledger.busy_cycles += cpb
                         md_reads = reads
                         md_writes = writes
-                    for sid in take_killed():
-                        invalidate_stream(sid)
+                    if kills:
+                        for sid in take_killed():
+                            invalidate_stream(sid)
 
                     for cand, sid in candidates:
                         if cand in entries or cand in l1_sets[cand % l1_n]:
@@ -385,7 +390,8 @@ class TimingSimulator:
                             buffer_evictions += 1
                             # Demand hits pop their entry, so a resident
                             # entry is never a used one.
-                            on_eviction(victim.block, victim.stream_id, False)
+                            if on_eviction is not None:
+                                on_eviction(victim.block, victim.stream_id, False)
                         else:
                             entries[cand] = BufferEntry(cand, sid, ready)
 

@@ -55,7 +55,12 @@ class SyntheticWorkload:
         rng = np.random.default_rng(seed)
         self._hot_pool = self._build_hot_pool(rng)
         self.documents, self.doc_pcs, self.doc_deps = self._build_documents(rng)
-        self._weights = self._zipf_weights(rng)
+        # The Zipf CDF that ``rng.choice(n, p=weights)`` would rebuild
+        # on every call, built once: the same cumsum-and-normalise, so
+        # the draws are identical.
+        cdf = self._zipf_weights(rng).cumsum()
+        cdf /= cdf[-1]
+        self._cdf = cdf
 
     # -- construction ---------------------------------------------------
     def _build_hot_pool(self, rng: np.random.Generator) -> np.ndarray:
@@ -186,7 +191,7 @@ class SyntheticWorkload:
         return np.where(leaders, long_gaps, short_gaps).astype(np.int32)
 
     def _pick_documents(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        return rng.choice(self.config.n_documents, size=count, p=self._weights)
+        return self._cdf.searchsorted(rng.random(count), side="right")
 
     def _generate_sequential(
         self, rng: np.random.Generator, n_accesses: int

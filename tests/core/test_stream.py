@@ -6,28 +6,30 @@ import pytest
 
 from repro.core.stream import ActiveStream, StreamTable
 
+from ..prefetchers.reference_prefetchers import extendable, next_address, pending
+
 
 class TestActiveStream:
     def test_next_address_pops_in_order(self):
         stream = ActiveStream(stream_id=0, queue=deque([1, 2, 3]))
-        assert stream.next_address() == 1
-        assert stream.next_address() == 2
+        assert next_address(stream) == 1
+        assert next_address(stream) == 2
 
     def test_next_address_empty(self):
         stream = ActiveStream(stream_id=0)
-        assert stream.next_address() is None
+        assert next_address(stream) is None
 
     def test_pending_flag(self):
         stream = ActiveStream(stream_id=0)
-        assert stream.pending is False
+        assert pending(stream) is False
         stream.pending_entries = [(1, 2)]
-        assert stream.pending is True
+        assert pending(stream) is True
 
     def test_extendable(self):
         stream = ActiveStream(stream_id=0)
-        assert stream.extendable() is False
+        assert extendable(stream) is False
         stream.ht_cursor = 5
-        assert stream.extendable() is True
+        assert extendable(stream) is True
 
 
 class TestStreamTable:

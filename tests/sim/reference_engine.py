@@ -19,7 +19,7 @@ from collections import defaultdict
 from repro.config import SystemConfig
 from repro.errors import SimulationError
 from repro.memory.cache import Cache
-from repro.memory.prefetch_buffer import PrefetchBuffer
+from repro.memory.prefetch_buffer import PrefetchBuffer, PrefetchBufferStats
 from repro.prefetchers.base import NullPrefetcher, Prefetcher
 from repro.sim.engine import SimulationResult
 from repro.sim.trace import MemoryTrace
@@ -82,14 +82,16 @@ class ReferenceTraceSimulator:
                 self._streams_seen.add(sid)
                 victim = buffer.insert(cand_block, sid)
                 if victim is not None:
+                    # A hit consumes its entry: a victim was never used.
                     prefetcher.on_buffer_eviction(
-                        victim.block, victim.stream_id, victim.used)
+                        victim.block, victim.stream_id, False)
         return self._finalise(trace.name)
 
     def _reset_counters(self) -> None:
         """Forget warm-up measurements but keep all simulated state."""
         self.metrics = CoverageMetrics()
-        self.buffer.reset_stats()
+        # A fresh object: the warm-up counters may be held elsewhere.
+        self.buffer.stats = PrefetchBufferStats()
         self.prefetcher.reset_traffic()
         self._stream_useful.clear()
         self._streams_seen.clear()

@@ -250,8 +250,9 @@ class ReferenceTimingSimulator:
             self.result.prefetches_issued += 1
             victim = self.buffer.insert(block, sid, ready_time=ready)
             if victim is not None:
+                # A hit consumes its entry: a victim was never used.
                 self.prefetcher.on_buffer_eviction(
-                    victim.block, victim.stream_id, victim.used)
+                    victim.block, victim.stream_id, False)
 
     def run(self, trace: MemoryTrace, warmup_frac: float = 0.0) -> TimingResult:
         self.load(trace, warmup=int(len(trace) * warmup_frac))
